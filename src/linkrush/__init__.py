@@ -47,7 +47,7 @@ from .evaluation import (
     span_extract,
     write_conll,
 )
-from .index import CorpusIndex, bm25_score, load_corpus, save_corpus, search
+from .index import CorpusIndex, load_corpus, save_corpus, search
 from .mentions import Mention, find_matches, link_sentence, mention_recall, resolve_overlaps
 from .representation import Representation, Segment, build_representation
 from .retrieval import CandidatePool, PooledCandidate, pool_stats, retrieve_pooled
@@ -75,7 +75,6 @@ __all__ = [
     "TrainingConfig",
     "WindowTagger",
     "bio_repair",
-    "bm25_score",
     "build_referred_by",
     "build_representation",
     "build_training_examples",

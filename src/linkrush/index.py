@@ -4,14 +4,25 @@ Four fields are indexed for every document: title, referred_by,
 interwikies, and all_text. Ranking uses BM25 with k1=1.2, b=0.75 and the
 floored idf ln(1 + (N - df + 0.5) / (df + 0.5)), which keeps every term's
 contribution positive.
+
+Each field is stored column-wise (compressed sparse rows, one row per
+term) with every posting's BM25 contribution precomputed as its impact,
+so a query is one weighted `np.bincount` over the rows of its terms
+(Anh & Moffat, "Pruned query evaluation using pre-computed impacts",
+2006). The saved form is unchanged: JSON postings lists of
+`[doc_id, tf]` pairs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .corpus import IndexedDocument
 from .errors import DataFormatError
@@ -23,24 +34,144 @@ B = 0.75
 
 FIELD_NAMES = ("title", "referred_by", "interwikies", "all_text")
 
+_FIELD_KEYS = ("postings", "doc_lengths", "avg_doc_length", "doc_count")
+
 
 @dataclass
 class FieldIndex:
-    """Inverted index over one field of the corpus.
+    """Inverted index over one field of the corpus, in CSR columns.
 
-    postings maps term -> [(doc_id, term_frequency)] sorted by doc_id;
-    doc_lengths has one entry per document (0 for an empty field).
+    The postings of term t are the slice offsets[r]:offsets[r + 1] of
+    doc_ids (strictly increasing), tfs and impacts, where r =
+    term_rows[t]. A posting's impact is idf(t) * tf_part(tf, doc), its
+    whole contribution to a document's score. doc_lengths has one entry
+    per document (0 for an empty field).
     """
 
     field_name: str
-    postings: dict[str, list[tuple[int, int]]]
-    doc_lengths: list[int]
+    term_rows: dict[str, int]
+    offsets: np.ndarray  # int64, one more than there are terms
+    doc_ids: np.ndarray  # int32
+    tfs: np.ndarray  # int32
+    impacts: np.ndarray  # float64
+    doc_lengths: np.ndarray  # int64
     avg_doc_length: float
     doc_count: int
 
-    def idf(self, term: str) -> float:
-        df = len(self.postings.get(term, ()))
-        return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
+    @classmethod
+    def from_postings(
+        cls,
+        field_name: str,
+        postings: Mapping[str, Sequence[Sequence[int]]],
+        doc_lengths: Sequence[int],
+        avg_doc_length: float,
+        doc_count: int,
+    ) -> "FieldIndex":
+        """Columns and impacts from term -> [(doc_id, tf), ...] lists.
+
+        Raises DataFormatError unless every posting is an integer pair
+        with a doc_id in [0, doc_count), strictly increasing within its
+        term, and a tf of at least 1, and there is one length per document.
+        """
+
+        def bad(message: str) -> DataFormatError:
+            return DataFormatError(f"field {field_name!r}: {message}")
+
+        if not _is_int(doc_count) or doc_count < 0:
+            raise bad(f"doc_count must be a non-negative integer, got {doc_count!r}")
+        if not _is_number(avg_doc_length):
+            raise bad(f"avg_doc_length must be a number, got {avg_doc_length!r}")
+        if not isinstance(postings, Mapping):
+            raise bad("postings must map terms to lists")
+        lengths = _int_array(doc_lengths) if isinstance(doc_lengths, list) else None
+        if lengths is None or (lengths < 0).any():
+            raise bad("doc_lengths must be a list of non-negative integers")
+        if len(lengths) != doc_count:
+            raise bad(f"{len(lengths)} doc_lengths for doc_count {doc_count}")
+
+        plists = list(postings.values())
+        if not all(isinstance(plist, (list, tuple)) for plist in plists):
+            raise bad("every term's postings must be a list")
+        offsets = np.zeros(len(plists) + 1, dtype=np.int64)
+        np.cumsum([len(plist) for plist in plists], out=offsets[1:])
+        pairs = _int_pairs(list(chain.from_iterable(plists)))
+        if pairs is None:
+            raise bad("every posting must be a [doc_id, tf] pair of integers")
+        doc_ids, tfs = pairs[:, 0], pairs[:, 1]
+        if ((doc_ids < 0) | (doc_ids >= doc_count)).any():
+            raise bad(f"a doc_id is outside [0, {doc_count})")
+        if (tfs < 1).any():
+            raise bad("a term frequency is below 1")
+        if len(doc_ids) and avg_doc_length <= 0:
+            raise bad("avg_doc_length must be positive in a field with postings")
+        # Within a term, each doc_id must exceed the one before it; a
+        # term's first posting has no predecessor.
+        increasing = np.diff(doc_ids) > 0
+        starts = offsets[1:-1]
+        increasing[starts[(starts > 0) & (starts < len(doc_ids))] - 1] = True
+        if not increasing.all():
+            raise bad("doc_ids do not strictly increase within a term")
+
+        avg_doc_length = float(avg_doc_length)
+        # Same operations, in the same order, as scoring one posting at a
+        # time: idf through math.log, then idf * tf*(k1+1) / (tf + k1*norm).
+        dfs = np.diff(offsets)
+        idf = np.array([math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5)) for df in dfs.tolist()])
+        tf = tfs.astype(np.float64)
+        norm = 1.0 - B + B * lengths[doc_ids] / avg_doc_length
+        impacts = np.repeat(idf, dfs) * (tf * (K1 + 1.0) / (tf + K1 * norm))
+        return cls(
+            field_name=field_name,
+            term_rows={term: row for row, term in enumerate(postings)},
+            offsets=offsets,
+            doc_ids=doc_ids.astype(np.int32),
+            tfs=tfs.astype(np.int32),
+            impacts=impacts,
+            doc_lengths=lengths,
+            avg_doc_length=avg_doc_length,
+            doc_count=doc_count,
+        )
+
+    def to_json(self) -> dict:
+        """The saved form: term -> [[doc_id, tf], ...] plus the lengths."""
+        pairs = [[d, tf] for d, tf in zip(self.doc_ids.tolist(), self.tfs.tolist())]
+        bounds = self.offsets.tolist()
+        return {
+            "postings": {
+                term: pairs[bounds[row] : bounds[row + 1]] for term, row in self.term_rows.items()
+            },
+            "doc_lengths": self.doc_lengths.tolist(),
+            "avg_doc_length": self.avg_doc_length,
+            "doc_count": self.doc_count,
+        }
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _int_pairs(pairs: list) -> np.ndarray | None:
+    """An (n, 2) int64 array of `pairs`, or None unless every one is a
+    pair of integers."""
+    try:
+        if set(map(len, pairs)) - {2}:
+            return None
+    except TypeError:  # a posting without a length
+        return None
+    flat = _int_array(chain.from_iterable(pairs))
+    return None if flat is None else flat.reshape(-1, 2)
+
+
+def _int_array(values: Iterable) -> np.ndarray | None:
+    """An int64 array of `values`, or None unless every one is an integer."""
+    try:
+        return np.frombuffer(array("q", values), dtype=np.int64)
+    except (TypeError, OverflowError):
+        return None
 
 
 def build_field_index(field_name: str, token_docs: Sequence[Sequence[str]]) -> FieldIndex:
@@ -57,10 +188,10 @@ def build_field_index(field_name: str, token_docs: Sequence[Sequence[str]]) -> F
         for term, tf in counts.items():
             postings.setdefault(term, []).append((doc_id, tf))
     # Appending in doc_id order already yields sorted postings lists.
-    return FieldIndex(
-        field_name=field_name,
-        postings=postings,
-        doc_lengths=doc_lengths,
+    return FieldIndex.from_postings(
+        field_name,
+        postings,
+        doc_lengths,
         avg_doc_length=sum(doc_lengths) / len(doc_lengths),
         doc_count=len(doc_lengths),
     )
@@ -97,23 +228,6 @@ def build_index(
     }
 
 
-def bm25_score(query_terms: Sequence[str], doc_id: int, field_index: FieldIndex) -> float:
-    """BM25 score of one document for an OR query.
-
-    Each distinct query term contributes idf * tf*(k1+1) / (tf + k1*norm);
-    terms absent from the document contribute nothing.
-    """
-    if not 0 <= doc_id < field_index.doc_count:
-        raise ValueError(f"unknown doc_id {doc_id}")
-    score = 0.0
-    for term in _distinct(query_terms):
-        tf = _term_frequency(field_index, term, doc_id)
-        if tf == 0:
-            continue
-        score += field_index.idf(term) * _tf_part(tf, field_index, doc_id)
-    return score
-
-
 def search(
     field_index: FieldIndex, query: str, k: int, *, turkish: bool = False
 ) -> list[tuple[int, float]]:
@@ -122,49 +236,48 @@ def search(
     Results are sorted by score descending, doc_id ascending on ties.
     An empty query (after tokenization) returns no results.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     return search_tokens(field_index, tokenize(query, turkish=turkish), k)
 
 
 def search_tokens(
     field_index: FieldIndex, query_terms: Sequence[str], k: int
 ) -> list[tuple[int, float]]:
-    scores: dict[int, float] = {}
-    for term in _distinct(query_terms):
-        postings = field_index.postings.get(term)
-        if not postings:
-            continue
-        idf = field_index.idf(term)
-        for doc_id, tf in postings:
-            contribution = idf * _tf_part(tf, field_index, doc_id)
-            scores[doc_id] = scores.get(doc_id, 0.0) + contribution
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
+    """Top-k (doc_id, score) pairs for an OR query of distinct terms.
+
+    Each document's impacts are added in query-term order, as a
+    posting-at-a-time loop would add them, so scores are bit-identical
+    to such a loop. Every impact is positive: a score is nonzero exactly
+    when the document holds a query term.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    rows = [
+        field_index.term_rows[term]
+        for term in _distinct(query_terms)
+        if term in field_index.term_rows
+    ]
+    if not rows:
+        return []
+    offsets = field_index.offsets
+    spans = [slice(offsets[row], offsets[row + 1]) for row in rows]
+    scores = np.bincount(
+        np.concatenate([field_index.doc_ids[span] for span in spans]),
+        weights=np.concatenate([field_index.impacts[span] for span in spans]),
+        minlength=field_index.doc_count,
+    )
+    hits = np.flatnonzero(scores)
+    hit_scores = scores[hits]
+    if len(hits) > k:
+        # Keep every document tied with the k-th score; the sort decides.
+        kth = np.partition(hit_scores, len(hits) - k)[len(hits) - k]
+        keep = hit_scores >= kth
+        hits, hit_scores = hits[keep], hit_scores[keep]
+    order = np.lexsort((hits, -hit_scores))[:k]
+    return list(zip(hits[order].tolist(), hit_scores[order].tolist()))
 
 
 def _distinct(terms: Iterable[str]) -> list[str]:
-    seen: set[str] = set()
-    out: list[str] = []
-    for term in terms:
-        if term not in seen:
-            seen.add(term)
-            out.append(term)
-    return out
-
-
-def _term_frequency(field_index: FieldIndex, term: str, doc_id: int) -> int:
-    for posted_id, tf in field_index.postings.get(term, ()):
-        if posted_id == doc_id:
-            return tf
-        if posted_id > doc_id:
-            break
-    return 0
-
-
-def _tf_part(tf: int, field_index: FieldIndex, doc_id: int) -> float:
-    norm = 1.0 - B + B * field_index.doc_lengths[doc_id] / field_index.avg_doc_length
-    return tf * (K1 + 1.0) / (tf + K1 * norm)
+    return list(dict.fromkeys(terms))
 
 
 @dataclass
@@ -190,40 +303,39 @@ class CorpusIndex:
         payload = {
             "turkish": self.turkish,
             "documents": [_doc_to_json(d) for d in self.documents],
-            "fields": {
-                name: {
-                    "postings": {
-                        term: [[d, tf] for d, tf in plist]
-                        for term, plist in fi.postings.items()
-                    },
-                    "doc_lengths": fi.doc_lengths,
-                    "avg_doc_length": fi.avg_doc_length,
-                    "doc_count": fi.doc_count,
-                }
-                for name, fi in self.fields.items()
-            },
+            "fields": {name: fi.to_json() for name, fi in self.fields.items()},
         }
         write_container(path, MAGIC_INDEX, dump_json(payload))
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusIndex":
         payload = load_json(read_container(path, MAGIC_INDEX), path)
-        if not isinstance(payload, dict) or "fields" not in payload:
+        if not isinstance(payload, dict) or not isinstance(payload.get("fields"), dict):
             raise DataFormatError(f"{path}: index payload missing fields section")
+        raw_fields = payload["fields"]
+        unknown = sorted(set(raw_fields) - set(FIELD_NAMES))
+        if unknown:
+            raise DataFormatError(f"{path}: unknown index field {unknown[0]!r}")
+        documents = _docs_from_json(payload.get("documents"), path)
         fields = {}
-        for name, raw in payload["fields"].items():
-            fields[name] = FieldIndex(
-                field_name=name,
-                postings={
-                    term: [(int(d), int(tf)) for d, tf in plist]
-                    for term, plist in raw["postings"].items()
-                },
-                doc_lengths=[int(n) for n in raw["doc_lengths"]],
-                avg_doc_length=float(raw["avg_doc_length"]),
-                doc_count=int(raw["doc_count"]),
-            )
+        for name in FIELD_NAMES:
+            raw = raw_fields.get(name)
+            if not isinstance(raw, dict):
+                raise DataFormatError(f"{path}: index lacks the {name!r} field")
+            for key in _FIELD_KEYS:
+                if key not in raw:
+                    raise DataFormatError(f"{path}: field {name!r} lacks {key!r}")
+            try:
+                fields[name] = FieldIndex.from_postings(name, *(raw[key] for key in _FIELD_KEYS))
+            except DataFormatError as exc:
+                raise DataFormatError(f"{path}: {exc}") from None
+            if fields[name].doc_count != len(documents):
+                raise DataFormatError(
+                    f"{path}: field {name!r} counts {fields[name].doc_count} documents, "
+                    f"the index holds {len(documents)}"
+                )
         return cls(
-            documents=[_doc_from_json(d) for d in payload["documents"]],
+            documents=documents,
             fields=fields,
             turkish=bool(payload.get("turkish", False)),
         )
@@ -238,7 +350,7 @@ def load_corpus(path: str | Path) -> tuple[list[IndexedDocument], bool]:
     payload = load_json(read_container(path, MAGIC_CORPUS), path)
     if not isinstance(payload, dict) or "documents" not in payload:
         raise DataFormatError(f"{path}: corpus payload missing documents section")
-    docs = [_doc_from_json(d) for d in payload["documents"]]
+    docs = _docs_from_json(payload["documents"], path)
     return docs, bool(payload.get("turkish", False))
 
 
@@ -251,6 +363,15 @@ def _doc_to_json(doc: IndexedDocument) -> dict:
         "all_text": doc.all_text,
         "lead": doc.lead,
     }
+
+
+def _docs_from_json(raw: object, path: str | Path) -> list[IndexedDocument]:
+    if not isinstance(raw, list):
+        raise DataFormatError(f"{path}: payload lacks a documents list")
+    try:
+        return [_doc_from_json(d) for d in raw]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed document record: {exc!r}") from None
 
 
 def _doc_from_json(raw: dict) -> IndexedDocument:

@@ -9,6 +9,7 @@ import pytest
 
 from linkrush import __version__
 from linkrush.cli import main
+from linkrush.storage import MAGIC_INDEX, dump_json, write_container
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -102,6 +103,20 @@ class TestErrorPaths:
         )
         assert code == 1
         assert "--corpus" in err
+
+    def test_malformed_index_exits_two(self, tmp_path, capsys):
+        index = tmp_path / "index.bin"
+        write_container(
+            index, MAGIC_INDEX, dump_json({"fields": {"title": {}}, "documents": []})
+        )
+        sentences = tmp_path / "sentences.txt"
+        sentences.write_text("Nokia was founded in 1865\n", encoding="utf-8")
+        code, _, err = run(
+            capsys, "link", "--index", str(index), "--input", str(sentences)
+        )
+        assert code == 2
+        assert "'title'" in err and "postings" in err
+        assert "Traceback" not in err
 
     def test_invalid_env_value(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("LINKRUSH_K", "not-a-number")

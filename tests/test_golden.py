@@ -1,0 +1,116 @@
+"""Golden hashes: a seeded 1000-article world, built, trained and tagged.
+
+The benchmark's generator (`perfbench/synth.py`) writes a 1000-article
+corpus with its training sentences and a stream of sentences to tag. The
+test runs the whole pipeline on it in process (ingest, index build and
+save, training examples, the mention model and the window tagger, then
+tagging a short and a long stream with the saved artifacts loaded back)
+and pins the SHA-256 of the index bytes, of both model files and of both
+prediction texts, so a refactor that changes any byte of these outputs
+at a realistic scale fails here even when the fixture tests pass.
+
+The pins hold for one NumPy version's random streams and float
+behaviour; a failure names the version in use. A change that alters
+floats on purpose re-pins them and says why.
+
+The gate path is not pinned: at 1000 articles the training sentences
+yield no non-entity candidates, and the binary head vetoes none of the
+246 mentions linked in the short stream.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from linkrush.classifier import TrainingConfig, load_model, save_model, train
+from linkrush.corpus import ingest
+from linkrush.ensemble import (
+    RouterConfig,
+    build_training_examples,
+    load_window_tagger,
+    save_window_tagger,
+    tag_sentences,
+    train_baseline,
+)
+from linkrush.evaluation import format_conll, read_conll
+from linkrush.index import CorpusIndex
+
+ROOT = Path(__file__).resolve().parents[1]
+
+ARTICLES = 1000
+STREAM_SEED = 1
+SHORT_COUNT = 150
+LONG_COUNT = 150
+EPOCHS = 10
+
+GOLDEN = {
+    "index": "4ab408689bd27ca1181729d5539e638ab08f17321754f71d387aedc22c70b6e5",
+    "models": "ead909312efe51f692c47ea08b136b58d59a3c30319152ed6cc2a88467ae269d",
+    "short_predictions": "4ebc8474ef5e9030ef7f724fd40efeae268c2a3443b3eb4bd2e5f5d0e671d99d",
+    "long_predictions": "3a23cc0d89315686567dc3ac03abe13988a48090bb66da83b387cf08bcbe1f84",
+}
+
+
+def _synth():
+    spec = importlib.util.spec_from_file_location("synth", ROOT / "perfbench" / "synth.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    synth = _synth()
+    root = tmp_path_factory.mktemp("golden")
+    short_dir, long_dir = root / "short", root / "long"
+    for out, stream, count in ((short_dir, "short", SHORT_COUNT), (long_dir, "long", LONG_COUNT)):
+        synth.write_inputs(
+            out, corpus_seed=0, seed=STREAM_SEED, stream=stream, count=count, articles=ARTICLES
+        )
+
+    with open(short_dir / "articles.jsonl", encoding="utf-8") as dump:
+        documents = ingest(dump)
+    index_path = root / "index.bin"
+    built = CorpusIndex.build(documents)
+    built.save(index_path)
+
+    config = TrainingConfig(epochs=EPOCHS)
+    examples = build_training_examples(read_conll(short_dir / "train_short.conll"), built)
+    model_path, window_path = root / "model.bin", root / "window.bin"
+    save_model(train(examples, config), model_path)
+    save_window_tagger(train_baseline(read_conll(short_dir / "train_long.conll"), config), window_path)
+
+    index, model, tagger = (
+        CorpusIndex.load(index_path), load_model(model_path), load_window_tagger(window_path)
+    )
+    router = RouterConfig()
+    predictions = {
+        name: format_conll(
+            tag_sentences(read_conll(out / "stream.conll"), router, index, model, tagger)
+        )
+        for name, out in (("short_predictions", short_dir), ("long_predictions", long_dir))
+    }
+    return {
+        "index": _sha256(index_path.read_bytes()),
+        "models": _sha256(model_path.read_bytes() + window_path.read_bytes()),
+        **{name: _sha256(text.encode("utf-8")) for name, text in predictions.items()},
+    }
+
+
+@pytest.mark.parametrize("artifact", sorted(GOLDEN))
+def test_golden_hash(golden_run, artifact):
+    assert golden_run[artifact] == GOLDEN[artifact], (
+        f"{artifact} SHA-256 changed (NumPy {np.__version__}); "
+        "the pins were computed with NumPy 2.4.6"
+    )

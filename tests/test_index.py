@@ -1,4 +1,5 @@
-"""BM25 scoring against analytic values and an exhaustive oracle."""
+"""BM25 scoring against analytic values, an exhaustive oracle and the
+dict-of-postings scorer in `oracles`; index loading and validation."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import bm25_score, oracle_field_index, oracle_search_tokens
 
 from linkrush.corpus import IndexedDocument
 from linkrush.errors import DataFormatError
@@ -14,7 +16,7 @@ from linkrush.index import (
     FIELD_NAMES,
     K1,
     CorpusIndex,
-    bm25_score,
+    FieldIndex,
     build_field_index,
     build_index,
     field_tokens,
@@ -23,6 +25,7 @@ from linkrush.index import (
     search,
     search_tokens,
 )
+from linkrush.storage import MAGIC_INDEX, dump_json, load_json, read_container, write_container
 
 
 def oracle_scores(token_docs, query_terms):
@@ -54,23 +57,26 @@ class TestAnalyticValues:
     def test_single_doc_single_term(self):
         # One document, one matching term: idf = ln(1 + 0.5/1.5) = ln(4/3)
         # and the tf part is exactly 1, so the score is ln(4/3).
-        index = build_field_index("text", [["hello", "world"]])
+        index = oracle_field_index([["hello", "world"]])
         score = bm25_score(["hello"], 0, index)
         assert score == pytest.approx(math.log(4.0 / 3.0), abs=1e-15)
         assert score == pytest.approx(0.2876820724517809, abs=1e-15)
+        assert search_tokens(build_field_index("text", [["hello", "world"]]), ["hello"], 1) == [
+            (0, score)
+        ]
 
     def test_idf_positive_even_when_term_everywhere(self):
-        index = build_field_index("text", [["a"], ["a"], ["a"]])
+        index = oracle_field_index([["a"], ["a"], ["a"]])
         assert index.idf("a") == pytest.approx(math.log(1.0 + 0.5 / 3.5), abs=1e-15)
         assert index.idf("a") > 0.0
 
     def test_absent_terms_contribute_nothing(self):
-        index = build_field_index("text", [["a", "b"]])
+        index = oracle_field_index([["a", "b"]])
         assert bm25_score(["zzz"], 0, index) == 0.0
         assert bm25_score(["a", "zzz"], 0, index) == bm25_score(["a"], 0, index)
 
     def test_repeated_query_terms_count_once(self):
-        index = build_field_index("text", [["a", "b"], ["b"]])
+        index = oracle_field_index([["a", "b"], ["b"]])
         assert bm25_score(["a", "a", "a"], 0, index) == bm25_score(["a"], 0, index)
 
 
@@ -98,10 +104,11 @@ class TestSearch:
         rng = np.random.default_rng(3)
         docs = [["a", "b", "c", "a"], ["b", "c"], ["c", "c", "d"], ["e"]]
         index = build_field_index("text", docs)
+        oracle = oracle_field_index(docs)
         for _ in range(50):
             terms = [str(t) for t in rng.choice(["a", "b", "c", "d", "e"], size=3)]
             for doc_id, score in search_tokens(index, terms, 10):
-                assert score == bm25_score(terms, doc_id, index)
+                assert score == bm25_score(terms, doc_id, oracle)
 
     def test_ranking_and_ties(self):
         # identical docs tie on score and fall back to doc_id order
@@ -120,7 +127,7 @@ class TestSearch:
             search(index, "a", 0)
 
     def test_unknown_doc_id_rejected(self):
-        index = build_field_index("text", [["a"]])
+        index = oracle_field_index([["a"]])
         with pytest.raises(ValueError):
             bm25_score(["a"], 5, index)
 
@@ -135,6 +142,196 @@ class TestSearch:
         assert set(forward) == set(backward)
         for doc_id in forward:
             assert forward[doc_id] == pytest.approx(backward[doc_id], rel=1e-12)
+
+
+def _zipf_corpus(rng, n_docs, vocab_size=300, exponent=1.1):
+    """Documents over a Zipfian vocabulary, with blocks of identical
+    documents so that many queries tie at some rank."""
+    vocab = [f"t{i}" for i in range(vocab_size)]
+    weights = 1.0 / np.arange(1, vocab_size + 1) ** exponent
+    p = weights / weights.sum()
+    docs = []
+    while len(docs) < n_docs:
+        doc = [vocab[int(i)] for i in rng.choice(vocab_size, size=int(rng.integers(1, 40)), p=p)]
+        docs.extend([doc] * int(rng.choice([1, 1, 1, 2, 3, 5])))
+    return vocab, p, docs[:n_docs]
+
+
+class TestColumnarMatchesOracle:
+    """Columnar `search_tokens` against the dict-loop `oracle_search_tokens`:
+    the same (doc_id, score) lists, floats compared with ==."""
+
+    def _check(self, index, oracle, terms, k):
+        got = search_tokens(index, terms, k)
+        assert got == oracle_search_tokens(oracle, terms, k)
+        assert all(type(d) is int and type(s) is float for d, s in got)
+        return got
+
+    def test_random_zipfian_corpora(self):
+        rng = np.random.default_rng(2006)
+        straddling = 0
+        for _ in range(6):
+            vocab, p, docs = _zipf_corpus(rng, int(rng.integers(200, 400)))
+            index, oracle = build_field_index("text", docs), oracle_field_index(docs)
+            for _ in range(60):
+                terms = [vocab[int(i)] for i in rng.choice(len(vocab), size=int(rng.integers(1, 8)), p=p)]
+                if rng.random() < 0.3:
+                    terms += terms[: int(rng.integers(1, len(terms) + 1))]  # repeated terms
+                if rng.random() < 0.2:
+                    terms.insert(int(rng.integers(0, len(terms) + 1)), "absent-term")
+                ranked = oracle_search_tokens(oracle, terms, len(docs))
+                # Cut inside a run of tied scores, so ties straddle the k-th rank.
+                cuts = [i for i in range(1, len(ranked)) if ranked[i - 1][1] == ranked[i][1]]
+                ks = {1, 5, len(ranked) + 7}
+                if cuts:
+                    ks.add(cuts[int(rng.integers(0, len(cuts)))])
+                    straddling += 1
+                for k in ks:
+                    self._check(index, oracle, terms, k)
+        assert straddling > 50
+
+    def test_single_term_and_tie_sized_k(self):
+        docs = [["a", "b"], ["a", "b"], ["a", "b"], ["a"], ["b", "c", "a"]]
+        index, oracle = build_field_index("text", docs), oracle_field_index(docs)
+        for k in (1, 2, 3, 4, 10):
+            got = self._check(index, oracle, ["a"], k)
+            assert len(got) == min(k, 5)
+        # docs 0-2 tie on every query; k = 3 keeps exactly the tie
+        got = self._check(index, oracle, ["b"], 3)
+        assert [d for d, _ in got] == [0, 1, 2]
+        assert got[0][1] == got[1][1] == got[2][1]
+
+    def test_absent_and_repeated_terms(self):
+        docs = [["a", "b", "a"], ["b"], ["c"]]
+        index, oracle = build_field_index("text", docs), oracle_field_index(docs)
+        assert self._check(index, oracle, ["zzz"], 5) == []
+        assert self._check(index, oracle, ["a", "a", "zzz", "b", "a"], 5) == search_tokens(
+            index, ["a", "b"], 5
+        )
+
+    def test_all_empty_field(self):
+        docs = [[], [], []]
+        index, oracle = build_field_index("interwikies", docs), oracle_field_index(docs)
+        assert self._check(index, oracle, ["a", "b"], 3) == []
+
+
+class TestFromPostingsValidation:
+    def _raw(self):
+        return build_field_index("title", [["a", "b"], ["b"], ["b", "c", "c"]]).to_json()
+
+    def _load(self, raw):
+        return FieldIndex.from_postings(
+            "title", raw["postings"], raw["doc_lengths"], raw["avg_doc_length"], raw["doc_count"]
+        )
+
+    def test_round_trip_is_exact(self):
+        raw = self._raw()
+        rebuilt = self._load(raw)
+        assert rebuilt.to_json() == raw
+        original = build_field_index("title", [["a", "b"], ["b"], ["b", "c", "c"]])
+        assert rebuilt.impacts.tolist() == original.impacts.tolist()
+
+    @pytest.mark.parametrize(
+        "postings, message",
+        [
+            ({"a": [[0, 1, 2]]}, "pair"),
+            ({"a": [[0]]}, "pair"),
+            ({"a": [0, 1]}, "pair"),
+            ({"a": [[0, 1.5]]}, "pair"),
+            ({"a": [["0", 1]]}, "pair"),
+            ({"a": [[0, None]]}, "pair"),
+            ({"a": [[0, 1], [1]]}, "pair"),
+            ({"a": "0 1"}, "list"),
+            ({"a": [[3, 1]]}, "outside"),
+            ({"a": [[-1, 1]]}, "outside"),
+            ({"a": [[1, 1], [0, 1]]}, "increase"),
+            ({"a": [[1, 1], [1, 2]]}, "increase"),
+            ({"a": [[0, 0]]}, "below 1"),
+        ],
+    )
+    def test_bad_postings_rejected(self, postings, message):
+        raw = {**self._raw(), "postings": postings}
+        with pytest.raises(DataFormatError, match=message):
+            self._load(raw)
+
+    def test_doc_ids_may_restart_at_each_term(self):
+        raw = {**self._raw(), "postings": {"a": [[1, 1], [2, 1]], "b": [[0, 2]], "c": []}}
+        assert self._load(raw).doc_ids.tolist() == [1, 2, 0]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("doc_lengths", [2, 1]),
+            ("doc_lengths", [2, 1, -3]),
+            ("doc_lengths", "2 1 3"),
+            ("doc_count", "3"),
+            ("doc_count", 4),
+            ("avg_doc_length", None),
+            ("avg_doc_length", 0.0),
+            ("postings", [["a", [[0, 1]]]]),
+        ],
+    )
+    def test_bad_field_values_rejected(self, key, value):
+        raw = {**self._raw(), key: value}
+        with pytest.raises(DataFormatError):
+            self._load(raw)
+
+
+class TestLoadValidation:
+    def _write(self, path, payload):
+        write_container(path, MAGIC_INDEX, dump_json(payload))
+        return path
+
+    def _payload(self, fixture_index, tmp_path):
+        path = tmp_path / "good.bin"
+        fixture_index.save(path)
+        return load_json(read_container(path, MAGIC_INDEX), path)
+
+    def test_missing_postings_key(self, tmp_path):
+        path = self._write(tmp_path / "i.bin", {"fields": {"title": {}}, "documents": []})
+        with pytest.raises(DataFormatError):
+            CorpusIndex.load(path)
+
+    @pytest.mark.parametrize("name", FIELD_NAMES)
+    def test_missing_field(self, fixture_index, tmp_path, name):
+        payload = self._payload(fixture_index, tmp_path)
+        del payload["fields"][name]
+        with pytest.raises(DataFormatError, match=name):
+            CorpusIndex.load(self._write(tmp_path / "i.bin", payload))
+
+    @pytest.mark.parametrize("key", ["postings", "doc_lengths", "avg_doc_length", "doc_count"])
+    def test_missing_field_key(self, fixture_index, tmp_path, key):
+        payload = self._payload(fixture_index, tmp_path)
+        del payload["fields"]["all_text"][key]
+        with pytest.raises(DataFormatError, match=key):
+            CorpusIndex.load(self._write(tmp_path / "i.bin", payload))
+
+    def test_bad_posting_names_file_and_field(self, fixture_index, tmp_path):
+        payload = self._payload(fixture_index, tmp_path)
+        postings = payload["fields"]["referred_by"]["postings"]
+        term = sorted(postings)[0]
+        postings[term] = [[10**6, 1]]
+        path = self._write(tmp_path / "i.bin", payload)
+        with pytest.raises(DataFormatError, match=r"i\.bin: field 'referred_by'"):
+            CorpusIndex.load(path)
+
+    def test_doc_count_must_match_documents(self, fixture_index, tmp_path):
+        payload = self._payload(fixture_index, tmp_path)
+        payload["documents"] = payload["documents"][:-1]
+        with pytest.raises(DataFormatError, match="documents"):
+            CorpusIndex.load(self._write(tmp_path / "i.bin", payload))
+
+    def test_malformed_document_record(self, fixture_index, tmp_path):
+        payload = self._payload(fixture_index, tmp_path)
+        del payload["documents"][0]["lead"]
+        with pytest.raises(DataFormatError, match="document"):
+            CorpusIndex.load(self._write(tmp_path / "i.bin", payload))
+
+    def test_unknown_field(self, fixture_index, tmp_path):
+        payload = self._payload(fixture_index, tmp_path)
+        payload["fields"]["body"] = payload["fields"]["title"]
+        with pytest.raises(DataFormatError, match="body"):
+            CorpusIndex.load(self._write(tmp_path / "i.bin", payload))
 
 
 class TestFieldTokens:
