@@ -1,9 +1,10 @@
 """Entity-linking NER over a wiki-style corpus.
 
-The pipeline: ingest articles into four searchable fields, retrieve
-pooled BM25 candidates per sentence, match candidate anchor phrases
-exactly, classify each surviving mention with a gated two-head linear
-model, and route long sentences to a per-token baseline tagger instead.
+The pipeline: ingest articles into four searchable fields, look each
+sentence's spans up among the corpus anchor phrases, keep the matches
+whose documents the sentence's pooled BM25 retrieval holds, classify
+each surviving mention with a gated two-head linear model, and route
+long sentences to a per-token baseline tagger instead.
 """
 
 __version__ = "0.1.0"
@@ -47,15 +48,14 @@ from .evaluation import (
     span_extract,
     write_conll,
 )
-from .index import CorpusIndex, load_corpus, save_corpus, search
-from .mentions import Mention, find_matches, link_sentence, mention_recall, resolve_overlaps
+from .index import CorpusIndex, load_corpus, save_corpus
+from .mentions import Mention, find_matches, link_sentence, resolve_overlaps
 from .representation import Representation, Segment, build_representation
-from .retrieval import CandidatePool, PooledCandidate, pool_stats, retrieve_pooled
+from .retrieval import PoolMasks, pool_stats, retrieve_pooled
 from .tokenizer import normalize_phrase, normalize_token, tokenize
 
 __all__ = [
     "Article",
-    "CandidatePool",
     "CorpusIndex",
     "DataFormatError",
     "EntityType",
@@ -65,7 +65,7 @@ __all__ = [
     "Mention",
     "MentionClassifier",
     "PipelineError",
-    "PooledCandidate",
+    "PoolMasks",
     "Representation",
     "Route",
     "RouterConfig",
@@ -89,7 +89,6 @@ __all__ = [
     "load_model",
     "load_window_tagger",
     "loss",
-    "mention_recall",
     "normalize_phrase",
     "normalize_token",
     "pool_stats",
@@ -101,7 +100,6 @@ __all__ = [
     "save_corpus",
     "save_model",
     "save_window_tagger",
-    "search",
     "span_extract",
     "tag",
     "tag_baseline",

@@ -224,7 +224,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
     lines: list[str] = []
     for sentence in sentences:
         normalized = [normalize_token(t, turkish=index.turkish) for t in sentence.tokens]
-        mentions = link_sentence(normalized, index, args.k, sentence_id=sentence.sentence_id)
+        mentions = link_sentence(normalized, index, args.k)
         record = {
             "id": sentence.sentence_id,
             "tokens": list(sentence.tokens),
@@ -319,13 +319,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     index = CorpusIndex.load(args.index)
     sentences = _read_input(args.input, args.format, turkish=index.turkish)
-    pools = []
-    for sentence in sentences:
-        normalized = [normalize_token(t, turkish=index.turkish) for t in sentence.tokens]
-        pools.append(
-            retrieve_pooled(normalized, index, args.k, sentence_id=sentence.sentence_id)
-        )
-    print(json.dumps(pool_stats(pools).as_dict(), sort_keys=True))
+    normalized = ([normalize_token(t, turkish=index.turkish) for t in s.tokens] for s in sentences)
+    stats = pool_stats(retrieve_pooled(tokens, index, args.k) for tokens in normalized)
+    print(json.dumps(stats.as_dict(), sort_keys=True))
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from .classifier import (
     sparse_from_counts,
 )
 from .index import CorpusIndex
-from .mentions import link_sentence
-from .representation import DEFAULT_MAX_LEN, build_representation
+from .mentions import Mention, link_sentence
+from .representation import DEFAULT_MAX_LEN, Representation, build_representation
 from .retrieval import DEFAULT_K
 from .storage import MAGIC_MODEL, dump_json, write_container
 from .evaluation import TaggedSentence, bio_repair, span_extract
@@ -122,6 +122,30 @@ def train_baseline(
     )
 
 
+def mention_candidates(
+    normalized: Sequence[str],
+    index: CorpusIndex,
+    *,
+    k: int = DEFAULT_K,
+    max_len: int = DEFAULT_MAX_LEN,
+) -> Iterator[tuple[Mention, Representation]]:
+    """Each linked mention of a normalized sentence with its classifier
+    input, skipping mentions too long to represent within the budget.
+
+    Training and tagging both draw their candidates from here.
+    """
+    for mention in link_sentence(normalized, index, k):
+        if mention.length + 5 > max_len:
+            continue  # cannot be represented within the budget
+        yield mention, build_representation(
+            normalized,
+            mention,
+            index.documents[mention.doc_id].lead,
+            max_len,
+            turkish=index.turkish,
+        )
+
+
 def build_training_examples(
     sentences: Sequence[TaggedSentence],
     index: CorpusIndex,
@@ -143,16 +167,7 @@ def build_training_examples(
         gold = {
             (start, end): etype for start, end, etype in span_extract(sentence.tags)
         }
-        for mention in link_sentence(normalized, index, k):
-            if mention.length + 5 > max_len:
-                continue
-            rep = build_representation(
-                normalized,
-                mention,
-                index.documents[mention.doc_id].lead,
-                max_len,
-                turkish=index.turkish,
-            )
+        for mention, rep in mention_candidates(normalized, index, k=k, max_len=max_len):
             etype = gold.get((mention.start, mention.end))
             gate = GateDecision.O if etype is None else GateDecision.NE
             examples.append(TrainExample(rep, gate, etype))
@@ -193,16 +208,7 @@ def tag_el(
     """
     normalized = [normalize_token(t, turkish=index.turkish) for t in tokens]
     tags = ["O"] * len(tokens)
-    for mention in link_sentence(normalized, index, k):
-        if mention.length + 5 > max_len:
-            continue  # cannot be represented within the budget
-        rep = build_representation(
-            normalized,
-            mention,
-            index.documents[mention.doc_id].lead,
-            max_len,
-            turkish=index.turkish,
-        )
+    for mention, rep in mention_candidates(normalized, index, k=k, max_len=max_len):
         etype = predict(model, rep)
         if etype is None:
             continue

@@ -11,13 +11,17 @@ so a query is one weighted `np.bincount` over the rows of its terms
 (Anh & Moffat, "Pruned query evaluation using pre-computed impacts",
 2006). The saved form is unchanged: JSON postings lists of
 `[doc_id, tf]` pairs.
+
+A loaded or built index also holds its anchor table: every referred_by
+phrase mapped to the documents that list it, which linking looks up
+before it searches.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -228,21 +232,32 @@ def build_index(
     }
 
 
-def search(
-    field_index: FieldIndex, query: str, k: int, *, turkish: bool = False
-) -> list[tuple[int, float]]:
-    """Top-k documents matching at least one query term.
+@dataclass(frozen=True)
+class FieldTopK:
+    """One field's answer to an OR query, kept as columns.
 
-    Results are sorted by score descending, doc_id ascending on ties.
-    An empty query (after tokenization) returns no results.
+    scores holds every document's score (0.0 where no query term occurs);
+    top holds the k best document positions, score descending and
+    position ascending on ties.
     """
-    return search_tokens(field_index, tokenize(query, turkish=turkish), k)
+
+    scores: np.ndarray  # float64, one per document
+    top: np.ndarray  # int64
+
+    def ranked(self) -> list[tuple[int, float]]:
+        """The top-k as (doc_id, score) pairs of Python scalars."""
+        return list(zip(self.top.tolist(), self.scores[self.top].tolist()))
+
+    def mask(self) -> np.ndarray:
+        """A bool per document: is it in the top-k?"""
+        in_top = np.zeros(len(self.scores), dtype=bool)
+        in_top[self.top] = True
+        return in_top
 
 
-def search_tokens(
-    field_index: FieldIndex, query_terms: Sequence[str], k: int
-) -> list[tuple[int, float]]:
-    """Top-k (doc_id, score) pairs for an OR query of distinct terms.
+def field_top_k(field_index: FieldIndex, query_terms: Sequence[str], k: int) -> FieldTopK:
+    """Every document's score for an OR query of distinct terms, and
+    the exact top-k.
 
     Each document's impacts are added in query-term order, as a
     posting-at-a-time loop would add them, so scores are bit-identical
@@ -257,7 +272,7 @@ def search_tokens(
         if term in field_index.term_rows
     ]
     if not rows:
-        return []
+        return FieldTopK(np.zeros(field_index.doc_count), np.zeros(0, dtype=np.int64))
     offsets = field_index.offsets
     spans = [slice(offsets[row], offsets[row + 1]) for row in rows]
     scores = np.bincount(
@@ -272,21 +287,74 @@ def search_tokens(
         kth = np.partition(hit_scores, len(hits) - k)[len(hits) - k]
         keep = hit_scores >= kth
         hits, hit_scores = hits[keep], hit_scores[keep]
-    order = np.lexsort((hits, -hit_scores))[:k]
-    return list(zip(hits[order].tolist(), hit_scores[order].tolist()))
+    return FieldTopK(scores, hits[np.lexsort((hits, -hit_scores))[:k]])
+
+
+def search_tokens(
+    field_index: FieldIndex, query_terms: Sequence[str], k: int
+) -> list[tuple[int, float]]:
+    """Top-k (doc_id, score) pairs for an OR query of distinct terms,
+    score descending and doc_id ascending on ties."""
+    return field_top_k(field_index, query_terms, k).ranked()
 
 
 def _distinct(terms: Iterable[str]) -> list[str]:
     return list(dict.fromkeys(terms))
 
 
+Hit = tuple[int, int, tuple[str, ...], tuple[int, ...]]
+
+
+@dataclass(frozen=True)
+class AnchorTable:
+    """Every anchor phrase of the corpus, as a token tuple, mapped to the
+    positions of the documents that list it: one entry per listing, in
+    position order, so a document that lists a phrase twice appears twice.
+    """
+
+    phrases: dict[tuple[str, ...], tuple[int, ...]]
+    lengths: tuple[int, ...]  # the phrase lengths present, ascending
+
+    @classmethod
+    def from_documents(cls, documents: Sequence[IndexedDocument]) -> "AnchorTable":
+        phrases: dict[tuple[str, ...], list[int]] = {}
+        for position, doc in enumerate(documents):
+            for phrase in doc.referred_by:
+                phrases.setdefault(tuple(phrase.split(" ")), []).append(position)
+        return cls(
+            phrases={key: tuple(docs) for key, docs in phrases.items()},
+            lengths=tuple(sorted({len(key) for key in phrases})),
+        )
+
+    def lookup(self, tokens: Sequence[str]) -> list[Hit]:
+        """(start, end, phrase, positions) for every span of `tokens` that
+        is an anchor phrase, by start, then length."""
+        hits: list[Hit] = []
+        n = len(tokens)
+        for start in range(n):
+            for length in self.lengths:
+                end = start + length
+                if end > n:
+                    break
+                key = tuple(tokens[start:end])
+                docs = self.phrases.get(key)
+                if docs:
+                    hits.append((start, end, key, docs))
+        return hits
+
+
 @dataclass
 class CorpusIndex:
-    """Self-contained search bundle: documents plus their four field indexes."""
+    """Self-contained search bundle: documents, their four field indexes,
+    and the anchor table built from their referred_by phrases."""
 
     documents: list[IndexedDocument]
     fields: dict[str, FieldIndex]
     turkish: bool = False
+    anchors: AnchorTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.anchors = AnchorTable.from_documents(self.documents)
 
     @classmethod
     def build(cls, documents: Sequence[IndexedDocument], *, turkish: bool = False) -> "CorpusIndex":
@@ -296,8 +364,8 @@ class CorpusIndex:
             turkish=turkish,
         )
 
-    def search_field(self, field_name: str, query_terms: Sequence[str], k: int) -> list[tuple[int, float]]:
-        return search_tokens(self.fields[field_name], query_terms, k)
+    def search_field(self, field_name: str, query_terms: Sequence[str], k: int) -> FieldTopK:
+        return field_top_k(self.fields[field_name], query_terms, k)
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -369,14 +437,24 @@ def _docs_from_json(raw: object, path: str | Path) -> list[IndexedDocument]:
     if not isinstance(raw, list):
         raise DataFormatError(f"{path}: payload lacks a documents list")
     try:
-        return [_doc_from_json(d) for d in raw]
+        return [_doc_from_json(d, position) for position, d in enumerate(raw)]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed document record: {exc!r}") from None
 
 
-def _doc_from_json(raw: dict) -> IndexedDocument:
+def _doc_from_json(raw: dict, position: int) -> IndexedDocument:
+    """One document record; documents are addressed by list position, so
+    its doc_id must equal that position."""
+    if not _is_int(raw["doc_id"]) or raw["doc_id"] != position:
+        raise ValueError(f"document {position} has doc_id {raw['doc_id']!r}")
+    for key in ("title", "all_text", "lead"):
+        if not isinstance(raw[key], str):
+            raise TypeError(f"document {position}: {key} must be a string")
+    for key in ("referred_by", "interwikies"):
+        if not isinstance(raw[key], list) or not all(isinstance(v, str) for v in raw[key]):
+            raise TypeError(f"document {position}: {key} must be a list of strings")
     return IndexedDocument(
-        doc_id=int(raw["doc_id"]),
+        doc_id=position,
         title=raw["title"],
         referred_by=tuple(raw["referred_by"]),
         interwikies=tuple(raw["interwikies"]),

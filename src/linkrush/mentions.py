@@ -1,8 +1,11 @@
-"""Mention detection: exact anchor matching over pooled candidate documents.
+"""Mention detection: anchor phrases of retrieved documents, matched exactly.
 
-A candidate document's anchor phrases are matched against the sentence at
-token boundaries; overlapping matches are resolved greedily, longest span
-first, with the pooled relevance score breaking length ties.
+A mention is a sentence span that equals an anchor phrase of a document
+in the sentence's candidate pool. Linking looks the sentence's spans up
+in the index's anchor table first and retrieves only when one matches;
+each hit then keeps the documents the pool holds. Overlapping matches
+are resolved greedily, longest span first, with the pooled relevance
+score breaking length ties.
 """
 
 from __future__ import annotations
@@ -10,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import IndexedDocument
-from .index import CorpusIndex
-from .retrieval import DEFAULT_K, CandidatePool, retrieve_pooled
+from .index import FIELD_NAMES, CorpusIndex, Hit
+from .retrieval import DEFAULT_K, PoolMasks, retrieve_pooled
 
 
 @dataclass(frozen=True)
@@ -33,45 +35,23 @@ class Mention:
         return self.end - self.start
 
 
-def find_matches(
-    sentence_tokens: Sequence[str],
-    pool: CandidatePool,
-    documents: Sequence[IndexedDocument],
-) -> list[Mention]:
-    """Every (span, document) pair where an anchor phrase of a pooled
-    document equals a contiguous token subsequence of the sentence.
+def find_matches(hits: Sequence[Hit], pool: PoolMasks) -> list[Mention]:
+    """Every (span, document) pair of the anchor hits whose document is
+    pooled, by start, then length, then pooled score descending and
+    doc_id ascending.
 
     All occurrences are reported, overlaps included; resolution happens in
     resolve_overlaps.
     """
-    # Anchor token sequence -> doc_ids that list it, restricted to the pool.
-    phrase_docs: dict[tuple[str, ...], list[int]] = {}
-    scores: dict[int, float] = {}
-    for candidate in pool.candidates:
-        scores[candidate.doc_id] = candidate.pooled_score
-        for phrase in documents[candidate.doc_id].referred_by:
-            key = tuple(phrase.split(" "))
-            phrase_docs.setdefault(key, []).append(candidate.doc_id)
-
-    lengths = sorted({len(key) for key in phrase_docs})
-    n = len(sentence_tokens)
     matches: list[Mention] = []
-    for start in range(n):
-        for length in lengths:
-            end = start + length
-            if end > n:
-                break
-            key = tuple(sentence_tokens[start:end])
-            for doc_id in phrase_docs.get(key, ()):
-                matches.append(
-                    Mention(
-                        start=start,
-                        end=end,
-                        surface=key,
-                        doc_id=doc_id,
-                        pooled_score=scores[doc_id],
-                    )
-                )
+    for start, end, surface, doc_ids in hits:
+        pooled = [
+            (score, doc_id)
+            for doc_id in doc_ids
+            if (score := pool.pooled_score(doc_id)) is not None
+        ]
+        pooled.sort(key=lambda pair: (-pair[0], pair[1]))
+        matches.extend(Mention(start, end, surface, doc_id, score) for score, doc_id in pooled)
     return matches
 
 
@@ -97,25 +77,16 @@ def link_sentence(
     k: int = DEFAULT_K,
     *,
     fields: tuple[str, ...] | None = None,
-    sentence_id: str = "",
 ) -> list[Mention]:
-    """Retrieve, match, and resolve: the full per-sentence linking pass."""
-    kwargs = {"sentence_id": sentence_id}
-    if fields is not None:
-        kwargs["fields"] = fields
-    pool = retrieve_pooled(list(sentence_tokens), index, k, **kwargs)
-    return resolve_overlaps(find_matches(sentence_tokens, pool, index.documents))
-
-
-def mention_recall(
-    gold_spans: Sequence[tuple[int, int]], detected: Sequence[Mention]
-) -> float:
-    """Fraction of gold spans exactly covered by a detected mention span.
-
-    Type-agnostic; an empty gold set counts as fully recalled.
-    """
-    if not gold_spans:
-        return 1.0
-    detected_spans = {(m.start, m.end) for m in detected}
-    hit = sum(1 for span in gold_spans if tuple(span) in detected_spans)
-    return hit / len(gold_spans)
+    """Look up anchors, retrieve, match and resolve: the full
+    per-sentence linking pass over `fields` (default: all four). A
+    sentence without an anchor phrase is never searched."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    hits = index.anchors.lookup(sentence_tokens)
+    if not hits:
+        return []
+    pool = retrieve_pooled(
+        sentence_tokens, index, k, fields=FIELD_NAMES if fields is None else fields
+    )
+    return resolve_overlaps(find_matches(hits, pool))

@@ -1,13 +1,19 @@
-"""Pooled candidate retrieval: one OR query per sentence against all four fields.
+"""Pooled candidate retrieval: one OR query per sentence against each field.
 
-A document retrieved by several fields keeps each field score once; its
-pooled score is the plain sum of those scores. Pool membership is exactly
-the union of the per-field top-k result sets.
+Each field answers with every document's BM25 score and a mask of its
+exact top-k; the pool is the union of the masks. A pooled document's
+score is the sum of its scores over the fields whose top-k holds it,
+added in field order. Nothing is built per pooled document: anchor
+matching asks the pool only about the few documents whose anchors occur
+in the sentence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .index import FIELD_NAMES, CorpusIndex
 
@@ -15,63 +21,55 @@ DEFAULT_K = 200
 
 
 @dataclass(frozen=True)
-class PooledCandidate:
-    doc_id: int
-    per_field_scores: dict[str, float]
-    pooled_score: float
+class PoolMasks:
+    """One sentence's pooled retrieval, as per-field columns in field order."""
 
+    scores: dict[str, np.ndarray]  # field -> float64 score per document
+    masks: dict[str, np.ndarray]  # field -> bool per document, its top-k
 
-@dataclass
-class CandidatePool:
-    sentence_id: str
-    candidates: list[PooledCandidate]
-    per_field_counts: dict[str, int]
+    @property
+    def per_field_counts(self) -> dict[str, int]:
+        return {name: int(np.count_nonzero(mask)) for name, mask in self.masks.items()}
 
-    def score_of(self, doc_id: int) -> float:
-        for candidate in self.candidates:
-            if candidate.doc_id == doc_id:
-                return candidate.pooled_score
-        raise KeyError(doc_id)
+    @property
+    def candidates(self) -> np.ndarray:
+        """The pooled document positions, ascending."""
+        if not self.masks:
+            return np.zeros(0, dtype=np.int64)
+        return np.flatnonzero(np.logical_or.reduce(list(self.masks.values())))
+
+    def pooled_score(self, doc_id: int) -> float | None:
+        """The sum of the document's scores over the fields whose top-k
+        holds it, added in field order; None outside the pool."""
+        total, pooled = 0, False
+        for name, mask in self.masks.items():
+            if mask[doc_id]:
+                total += self.scores[name].item(doc_id)
+                pooled = True
+        return total if pooled else None
 
 
 def retrieve_pooled(
-    sentence_tokens: list[str],
+    sentence_tokens: Sequence[str],
     index: CorpusIndex,
     k: int = DEFAULT_K,
     *,
     fields: tuple[str, ...] = FIELD_NAMES,
-    sentence_id: str = "",
-) -> CandidatePool:
-    """Run the sentence as an OR query per field and union the results.
+) -> PoolMasks:
+    """Run the sentence as an OR query per field, in the given order.
 
     The pool may be empty when no document shares a token with the
-    sentence. Fields are merged in a fixed order so the result is
-    deterministic.
+    sentence.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    per_field_scores: dict[int, dict[str, float]] = {}
-    per_field_counts: dict[str, int] = {}
+    scores: dict[str, np.ndarray] = {}
+    masks: dict[str, np.ndarray] = {}
     for name in fields:
-        results = index.search_field(name, sentence_tokens, k)
-        per_field_counts[name] = len(results)
-        for doc_id, score in results:
-            per_field_scores.setdefault(doc_id, {})[name] = score
-
-    candidates = [
-        PooledCandidate(
-            doc_id=doc_id,
-            per_field_scores=scores,
-            pooled_score=sum(scores.values()),
-        )
-        for doc_id, scores in per_field_scores.items()
-    ]
-    candidates.sort(key=lambda c: (-c.pooled_score, c.doc_id))
-    return CandidatePool(
-        sentence_id=sentence_id,
-        candidates=candidates,
-        per_field_counts=per_field_counts,
-    )
+        result = index.search_field(name, sentence_tokens, k)
+        scores[name] = result.scores
+        masks[name] = result.mask()
+    return PoolMasks(scores=scores, masks=masks)
 
 
 @dataclass
@@ -92,17 +90,26 @@ class PoolStats:
         }
 
 
-def pool_stats(pools: list[CandidatePool]) -> PoolStats:
-    """Mean pool size, mean per-field result count, and empty-pool count."""
-    if not pools:
-        return PoolStats()
+def pool_stats(pools: Iterable[PoolMasks]) -> PoolStats:
+    """Mean pool size, mean per-field result count, and empty-pool count.
+
+    Each pool is read once and dropped, so a long input never holds more
+    than one sentence's score vectors.
+    """
+    count = size_total = empty = 0
     field_totals: dict[str, int] = {}
     for pool in pools:
-        for name, count in pool.per_field_counts.items():
-            field_totals[name] = field_totals.get(name, 0) + count
+        size = len(pool.candidates)
+        count += 1
+        size_total += size
+        empty += size == 0
+        for name, n in pool.per_field_counts.items():
+            field_totals[name] = field_totals.get(name, 0) + n
+    if not count:
+        return PoolStats()
     return PoolStats(
-        sentence_count=len(pools),
-        avg_pool_size=sum(len(p.candidates) for p in pools) / len(pools),
-        empty_pool_count=sum(1 for p in pools if not p.candidates),
-        avg_per_field={name: total / len(pools) for name, total in field_totals.items()},
+        sentence_count=count,
+        avg_pool_size=size_total / count,
+        empty_pool_count=empty,
+        avg_per_field={name: total / count for name, total in field_totals.items()},
     )

@@ -5,6 +5,14 @@ field is a dict term -> [(doc_id, tf)] sorted by doc_id; a query adds
 each posting's idf * tf part one at a time, in query-term order, with
 the idf and the length normalisation recomputed per posting. The
 columnar index must return exactly the same floats.
+
+Linking: the pool-first linker that anchor-first linking replaced. It
+builds one `PooledCandidate` per pooled document, then a phrase map from
+every pooled document's anchors, and matches the sentence against it.
+`link_sentence` must return exactly the same mentions, pooled-score
+floats included.
+
+Also here: helpers with no caller in `src/` that tests still use.
 """
 
 from __future__ import annotations
@@ -13,7 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from linkrush.index import B, K1
+from linkrush.corpus import IndexedDocument
+from linkrush.index import B, FIELD_NAMES, K1, CorpusIndex, FieldIndex, search_tokens
+from linkrush.mentions import Mention, resolve_overlaps
+from linkrush.tokenizer import tokenize
 
 
 @dataclass
@@ -106,3 +117,130 @@ def _term_frequency(field_index: OracleFieldIndex, term: str, doc_id: int) -> in
 def _tf_part(tf: int, field_index: OracleFieldIndex, doc_id: int) -> float:
     norm = 1.0 - B + B * field_index.doc_lengths[doc_id] / field_index.avg_doc_length
     return tf * (K1 + 1.0) / (tf + K1 * norm)
+
+
+def search(
+    field_index: FieldIndex, query: str, k: int, *, turkish: bool = False
+) -> list[tuple[int, float]]:
+    """Top-k documents for a query string, tokenized first."""
+    return search_tokens(field_index, tokenize(query, turkish=turkish), k)
+
+
+@dataclass(frozen=True)
+class PooledCandidate:
+    doc_id: int
+    per_field_scores: dict[str, float]
+    pooled_score: float
+
+
+@dataclass
+class CandidatePool:
+    sentence_id: str
+    candidates: list[PooledCandidate]
+    per_field_counts: dict[str, int]
+
+    def score_of(self, doc_id: int) -> float:
+        for candidate in self.candidates:
+            if candidate.doc_id == doc_id:
+                return candidate.pooled_score
+        raise KeyError(doc_id)
+
+
+def oracle_retrieve_pooled(
+    sentence_tokens: list[str],
+    index: CorpusIndex,
+    k: int,
+    *,
+    fields: tuple[str, ...] = FIELD_NAMES,
+    sentence_id: str = "",
+) -> CandidatePool:
+    """Union of the per-field top-k lists, one object per pooled document,
+    sorted by pooled score descending, doc_id ascending."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    per_field_scores: dict[int, dict[str, float]] = {}
+    per_field_counts: dict[str, int] = {}
+    for name in fields:
+        results = search_tokens(index.fields[name], sentence_tokens, k)
+        per_field_counts[name] = len(results)
+        for doc_id, score in results:
+            per_field_scores.setdefault(doc_id, {})[name] = score
+
+    candidates = [
+        PooledCandidate(
+            doc_id=doc_id,
+            per_field_scores=scores,
+            pooled_score=sum(scores.values()),
+        )
+        for doc_id, scores in per_field_scores.items()
+    ]
+    candidates.sort(key=lambda c: (-c.pooled_score, c.doc_id))
+    return CandidatePool(
+        sentence_id=sentence_id,
+        candidates=candidates,
+        per_field_counts=per_field_counts,
+    )
+
+
+def oracle_find_matches(
+    sentence_tokens: Sequence[str],
+    pool: CandidatePool,
+    documents: Sequence[IndexedDocument],
+) -> list[Mention]:
+    """Every (span, document) pair where an anchor phrase of a pooled
+    document equals a contiguous token subsequence of the sentence."""
+    # Anchor token sequence -> doc_ids that list it, restricted to the pool.
+    phrase_docs: dict[tuple[str, ...], list[int]] = {}
+    scores: dict[int, float] = {}
+    for candidate in pool.candidates:
+        scores[candidate.doc_id] = candidate.pooled_score
+        for phrase in documents[candidate.doc_id].referred_by:
+            key = tuple(phrase.split(" "))
+            phrase_docs.setdefault(key, []).append(candidate.doc_id)
+
+    lengths = sorted({len(key) for key in phrase_docs})
+    n = len(sentence_tokens)
+    matches: list[Mention] = []
+    for start in range(n):
+        for length in lengths:
+            end = start + length
+            if end > n:
+                break
+            key = tuple(sentence_tokens[start:end])
+            for doc_id in phrase_docs.get(key, ()):
+                matches.append(
+                    Mention(
+                        start=start,
+                        end=end,
+                        surface=key,
+                        doc_id=doc_id,
+                        pooled_score=scores[doc_id],
+                    )
+                )
+    return matches
+
+
+def oracle_link_sentence(
+    sentence_tokens: Sequence[str],
+    index: CorpusIndex,
+    k: int,
+    *,
+    fields: tuple[str, ...] = FIELD_NAMES,
+) -> list[Mention]:
+    """Retrieve the pool, match its anchors, resolve overlaps."""
+    pool = oracle_retrieve_pooled(list(sentence_tokens), index, k, fields=fields)
+    return resolve_overlaps(oracle_find_matches(sentence_tokens, pool, index.documents))
+
+
+def mention_recall(
+    gold_spans: Sequence[tuple[int, int]], detected: Sequence[Mention]
+) -> float:
+    """Fraction of gold spans exactly covered by a detected mention span.
+
+    Type-agnostic; an empty gold set counts as fully recalled.
+    """
+    if not gold_spans:
+        return 1.0
+    detected_spans = {(m.start, m.end) for m in detected}
+    hit = sum(1 for span in gold_spans if tuple(span) in detected_spans)
+    return hit / len(gold_spans)

@@ -481,8 +481,8 @@ def test_criterion_10_round_trips(
         for sentence in gold_sentences:
             terms = [normalize_token(t) for t in sentence.tokens]
             for name in FIELD_NAMES:
-                assert reloaded.search_field(name, terms, 50) == (
-                    fixture_index.search_field(name, terms, 50)
+                assert reloaded.search_field(name, terms, 50).ranked() == (
+                    fixture_index.search_field(name, terms, 50).ranked()
                 )
 
         # tagged data: re-serialized bytes equal the bundled file

