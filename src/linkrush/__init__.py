@@ -27,7 +27,6 @@ from .corpus import Article, IndexedDocument, build_referred_by, extract_links, 
 from .ensemble import (
     Route,
     RouterConfig,
-    WindowTagger,
     build_training_examples,
     load_window_tagger,
     route,
@@ -73,7 +72,6 @@ __all__ = [
     "TaggedSentence",
     "TrainExample",
     "TrainingConfig",
-    "WindowTagger",
     "bio_repair",
     "build_referred_by",
     "build_representation",

@@ -5,7 +5,13 @@ whether the candidate mention is a real entity, and a 6-way head for its
 type. Training minimizes the sum of the two cross-entropies (the type
 head receives no gradient on non-entity examples), and at prediction time
 the binary head can veto the type head entirely. A single-head variant
-folds the non-entity outcome into a 7th class instead.
+folds the non-entity outcome into a 7th class instead; the per-token
+window tagger of `ensemble` is such a single-head model.
+
+Both kinds of model share one file layout: a JSON header line, then the
+weight arrays as little-endian float64. The header's `kind` keeps a
+mention classifier from loading as a window tagger and the reverse, and
+the reader validates every header field before it touches the weights.
 """
 
 from __future__ import annotations
@@ -121,7 +127,11 @@ class TrainingConfig:
 
 @dataclass
 class MentionClassifier:
-    """Linear model behind the two heads (or the 7-way single head)."""
+    """Linear model behind the two heads (or the 7-way single head).
+
+    `turkish` is the case folding a window tagger applies to the tokens
+    it tags; the mention classifier reads already-folded representations.
+    """
 
     feature_dim: int
     single_head: bool
@@ -130,6 +140,7 @@ class MentionClassifier:
     W_type: np.ndarray
     b_type: np.ndarray
     epoch_losses: list[float] | None = None
+    turkish: bool = False
 
     @classmethod
     def zeros(cls, feature_dim: int, *, single_head: bool = False) -> "MentionClassifier":
@@ -238,47 +249,6 @@ def _example_gradients(
     return value, dz_bin, dz_type
 
 
-def batch_loss(
-    model: MentionClassifier, features: Sequence[SparseVector], labels: Sequence[object]
-) -> float:
-    """Mean per-example loss over a batch."""
-    total = 0.0
-    for x, label in zip(features, labels):
-        total += _example_gradients(model, x, label)[0]
-    return total / len(features)
-
-
-def batch_gradients(
-    model: MentionClassifier, features: Sequence[SparseVector], labels: Sequence[object]
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean batch loss plus dense gradients for every parameter array.
-
-    Dense output exists for verification against finite differences; the
-    training loop applies the same per-example terms sparsely.
-    """
-    n = len(features)
-    grads = {
-        "W_type": np.zeros_like(model.W_type),
-        "b_type": np.zeros_like(model.b_type),
-    }
-    if not model.single_head:
-        grads["W_bin"] = np.zeros_like(model.W_bin)
-        grads["b_bin"] = np.zeros_like(model.b_bin)
-    total = 0.0
-    for x, label in zip(features, labels):
-        value, dz_bin, dz_type = _example_gradients(model, x, label)
-        total += value
-        if dz_bin is not None:
-            grads["b_bin"] += dz_bin / n
-            if x.nnz:
-                grads["W_bin"][:, x.indices] += np.outer(dz_bin, x.values) / n
-        if dz_type is not None:
-            grads["b_type"] += dz_type / n
-            if x.nnz:
-                grads["W_type"][:, x.indices] += np.outer(dz_type, x.values) / n
-    return total / n, grads
-
-
 def train(
     examples: Sequence[TrainExample],
     config: TrainingConfig,
@@ -359,78 +329,114 @@ def predict(model: MentionClassifier, rep: Representation) -> EntityType | None:
 
 
 _KIND_MENTION = "mention_classifier"
+_KIND_WINDOW = "window_tagger"
+_HEADER_KEYS = frozenset(
+    {"arrays", "epoch_losses", "feature_dim", "kind", "single_head", "turkish"}
+)
 
 
 def save_model(model: MentionClassifier, path: str | Path) -> None:
-    arrays = _model_arrays(model)
-    header = {
-        "kind": _KIND_MENTION,
-        "feature_dim": model.feature_dim,
-        "single_head": model.single_head,
-        "arrays": [[name, list(arr.shape)] for name, arr in arrays],
-    }
-    write_container(path, MAGIC_MODEL, dump_json(header) + b"\n" + _pack_arrays(arrays))
+    _write_model(model, path, _KIND_MENTION)
 
 
 def load_model(path: str | Path) -> MentionClassifier:
-    header, data = _read_model_container(path, _KIND_MENTION)
-    values = _unpack_arrays(header["arrays"], data, path)
-    single_head = bool(header["single_head"])
-    return MentionClassifier(
-        feature_dim=int(header["feature_dim"]),
-        single_head=single_head,
-        W_bin=None if single_head else values["W_bin"],
-        b_bin=None if single_head else values["b_bin"],
-        W_type=values["W_type"],
-        b_type=values["b_type"],
+    return _read_model(path, _KIND_MENTION)
+
+
+def save_window_tagger(tagger: MentionClassifier, path: str | Path) -> None:
+    _write_model(tagger, path, _KIND_WINDOW)
+
+
+def load_window_tagger(path: str | Path) -> MentionClassifier:
+    return _read_model(path, _KIND_WINDOW)
+
+
+def _array_layout(single_head: bool, feature_dim: int) -> list[list]:
+    """[name, shape] of each stored array, in file order."""
+    n_types = len(ENTITY_TYPES) + (1 if single_head else 0)
+    layout = [["W_type", [n_types, feature_dim]], ["b_type", [n_types]]]
+    if not single_head:
+        layout = [["W_bin", [2, feature_dim]], ["b_bin", [2]]] + layout
+    return layout
+
+
+def _write_model(model: MentionClassifier, path: str | Path, kind: str) -> None:
+    if kind == _KIND_WINDOW and not model.single_head:
+        raise ValueError("a window tagger must be a single-head model")
+    layout = _array_layout(model.single_head, model.feature_dim)
+    header = {
+        "kind": kind,
+        "feature_dim": model.feature_dim,
+        "single_head": model.single_head,
+        "turkish": model.turkish,
+        "epoch_losses": model.epoch_losses,
+        "arrays": layout,
+    }
+    weights = b"".join(
+        np.ascontiguousarray(getattr(model, name), dtype="<f8").tobytes() for name, _ in layout
     )
+    write_container(path, MAGIC_MODEL, dump_json(header) + b"\n" + weights)
 
 
-def _model_arrays(model: MentionClassifier) -> list[tuple[str, np.ndarray]]:
-    arrays: list[tuple[str, np.ndarray]] = []
-    if not model.single_head:
-        arrays.append(("W_bin", model.W_bin))
-        arrays.append(("b_bin", model.b_bin))
-    arrays.append(("W_type", model.W_type))
-    arrays.append(("b_type", model.b_type))
-    return arrays
-
-
-def _pack_arrays(arrays: list[tuple[str, np.ndarray]]) -> bytes:
-    return b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays)
-
-
-def _unpack_arrays(
-    layout: list, data: bytes, path: str | Path
-) -> dict[str, np.ndarray]:
-    values: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in layout:
-        count = int(np.prod(shape))
-        nbytes = count * 8
-        if offset + nbytes > len(data):
-            raise DataFormatError(f"{path}: truncated model weights")
-        values[name] = (
-            np.frombuffer(data[offset : offset + nbytes], dtype="<f8")
-            .reshape([int(s) for s in shape])
-            .copy()
-        )
-        offset += nbytes
-    if offset != len(data):
-        raise DataFormatError(f"{path}: trailing bytes after model weights")
-    return values
-
-
-def _read_model_container(path: str | Path, expected_kind: str) -> tuple[dict, bytes]:
+def _read_model(path: str | Path, kind: str) -> MentionClassifier:
     payload = read_container(path, MAGIC_MODEL)
     sep = payload.find(b"\n")
     if sep < 0:
         raise DataFormatError(f"{path}: model header missing")
     header = load_json(payload[:sep], path)
-    if not isinstance(header, dict) or header.get("kind") != expected_kind:
-        raise DataFormatError(
-            f"{path}: expected a {expected_kind} model, found {header.get('kind')!r}"
-            if isinstance(header, dict)
-            else f"{path}: malformed model header"
+    layout = _validate_header(header, kind, path)
+    values: dict[str, np.ndarray] = {}
+    offset = sep + 1
+    for name, shape in layout:
+        count = math.prod(shape)
+        if offset + 8 * count > len(payload):
+            raise DataFormatError(f"{path}: truncated model weights")
+        values[name] = (
+            np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
         )
-    return header, payload[sep + 1 :]
+        offset += 8 * count
+    if offset != len(payload):
+        raise DataFormatError(f"{path}: trailing bytes after model weights")
+    return MentionClassifier(
+        feature_dim=header["feature_dim"],
+        single_head=header["single_head"],
+        W_bin=values.get("W_bin"),
+        b_bin=values.get("b_bin"),
+        W_type=values["W_type"],
+        b_type=values["b_type"],
+        epoch_losses=header["epoch_losses"],
+        turkish=header["turkish"],
+    )
+
+
+def _validate_header(header: object, kind: str, path: str | Path) -> list[list]:
+    """Check the kind and every other header field; returns the array
+    layout the header implies."""
+    if not isinstance(header, dict):
+        raise DataFormatError(f"{path}: malformed model header")
+    if header.get("kind") != kind:
+        raise DataFormatError(f"{path}: expected a {kind} model, found {header.get('kind')!r}")
+    if set(header) != _HEADER_KEYS:
+        missing = sorted(_HEADER_KEYS - set(header))
+        extra = sorted(set(header) - _HEADER_KEYS)
+        raise DataFormatError(f"{path}: model header keys missing {missing}, unexpected {extra}")
+    dim = header["feature_dim"]
+    if type(dim) is not int or dim <= 0 or dim & (dim - 1):
+        raise DataFormatError(f"{path}: feature_dim must be a power of two, got {dim!r}")
+    for key in ("single_head", "turkish"):
+        if type(header[key]) is not bool:
+            raise DataFormatError(f"{path}: {key} must be true or false, got {header[key]!r}")
+    losses = header["epoch_losses"]
+    if losses is not None and not (
+        isinstance(losses, list) and all(type(v) in (int, float) for v in losses)
+    ):
+        raise DataFormatError(f"{path}: epoch_losses must be a list of numbers or null")
+    if kind == _KIND_WINDOW and not header["single_head"]:
+        raise DataFormatError(f"{path}: a window tagger must be a single-head model")
+    layout = _array_layout(header["single_head"], dim)
+    if header["arrays"] != layout:
+        raise DataFormatError(
+            f"{path}: arrays {header['arrays']!r} do not match the "
+            f"{'single' if header['single_head'] else 'two'}-head layout {layout!r}"
+        )
+    return layout

@@ -2,15 +2,16 @@
 
 Long sentences carry enough context for a conventional per-token tagger;
 short ones are handed to the entity-linking path, which brings external
-page text to bear. The per-token baseline is a 7-way linear classifier
-over hashed features of a ±3 token window.
+page text to bear. The per-token baseline, the window tagger, is a
+single-head `MentionClassifier` (six types plus non-entity) over hashed
+features of a ±3 token window; it is stored like the mention classifier,
+under its own header kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -27,18 +28,19 @@ from .classifier import (
     TrainExample,
     TrainingConfig,
     _fit,
-    _pack_arrays,
-    _read_model_container,
-    _unpack_arrays,
+    _head_logits,
     hash_feature,
+    load_window_tagger,
     predict,
+    save_window_tagger,
     sparse_from_counts,
 )
 from .index import CorpusIndex
 from .mentions import Mention, link_sentence
 from .representation import DEFAULT_MAX_LEN, Representation, build_representation
 from .retrieval import DEFAULT_K
-from .storage import MAGIC_MODEL, dump_json, write_container
+# Not called here: perfbench/tracing.py patches these two names in this module.
+from .storage import dump_json, write_container  # noqa: F401
 from .evaluation import TaggedSentence, bio_repair, span_extract
 from .tokenizer import normalize_token
 
@@ -72,16 +74,6 @@ def route(tokens: Sequence[str], config: RouterConfig) -> Route:
     return Route.ENTITY_LINKING
 
 
-@dataclass
-class WindowTagger:
-    """Per-token 7-way linear tagger (six types plus non-entity)."""
-
-    feature_dim: int
-    turkish: bool
-    W: np.ndarray  # (7, feature_dim)
-    b: np.ndarray  # (7,)
-
-
 def window_features(
     tokens: Sequence[str], position: int, feature_dim: int
 ) -> SparseVector:
@@ -102,8 +94,9 @@ def train_baseline(
     *,
     feature_dim: int = DEFAULT_FEATURE_DIM,
     turkish: bool = False,
-) -> WindowTagger:
-    """Fit the window tagger on gold BIO data, one example per token."""
+) -> MentionClassifier:
+    """Fit the window tagger, a single-head model, on gold BIO data, one
+    example per token."""
     features: list[SparseVector] = []
     labels: list[object] = []
     for sentence in sentences:
@@ -116,10 +109,9 @@ def train_baseline(
     if not features:
         raise ValueError("cannot train on zero tokens")
     model = MentionClassifier.zeros(feature_dim, single_head=True)
-    _fit(model, features, labels, config)
-    return WindowTagger(
-        feature_dim=feature_dim, turkish=turkish, W=model.W_type, b=model.b_type
-    )
+    model.turkish = turkish
+    model.epoch_losses = _fit(model, features, labels, config)
+    return model
 
 
 def mention_candidates(
@@ -175,19 +167,21 @@ def build_training_examples(
 
 
 def tag_baseline(
-    tokens: Sequence[str], sentence_id: str, tagger: WindowTagger
+    tokens: Sequence[str], sentence_id: str, tagger: MentionClassifier
 ) -> TaggedSentence:
     """Tag every token independently, then repair the BIO chain.
 
     The raw per-token outputs are type-only (I-X or O); repair turns each
-    run's first tag into B-X.
+    run's first tag into B-X. The class is the argmax of the single
+    head's logits, ties toward the lower index.
     """
+    if not tagger.single_head:
+        raise ValueError("the window tagger must be a single-head model")
     normalized = [normalize_token(t, turkish=tagger.turkish) for t in tokens]
     raw: list[str] = []
     for pos in range(len(tokens)):
         x = window_features(normalized, pos, tagger.feature_dim)
-        logits = tagger.W[:, x.indices] @ x.values + tagger.b
-        cls = int(np.argmax(logits))
+        cls = int(np.argmax(_head_logits(tagger.W_type, tagger.b_type, x)))
         raw.append("O" if cls == OTHER_CLASS else f"I-{ENTITY_TYPES[cls].value}")
     return TaggedSentence(sentence_id, tuple(tokens), tuple(bio_repair(raw)))
 
@@ -224,7 +218,7 @@ def tag(
     router: RouterConfig,
     index: CorpusIndex,
     model: MentionClassifier,
-    tagger: WindowTagger | None,
+    tagger: MentionClassifier | None,
     *,
     k: int = DEFAULT_K,
     max_len: int = DEFAULT_MAX_LEN,
@@ -242,7 +236,7 @@ def tag_sentences(
     router: RouterConfig,
     index: CorpusIndex,
     model: MentionClassifier,
-    tagger: WindowTagger | None,
+    tagger: MentionClassifier | None,
     *,
     k: int = DEFAULT_K,
     max_len: int = DEFAULT_MAX_LEN,
@@ -252,28 +246,3 @@ def tag_sentences(
         tag(s.tokens, s.sentence_id, router, index, model, tagger, k=k, max_len=max_len)
         for s in sentences
     ]
-
-
-_KIND_WINDOW = "window_tagger"
-
-
-def save_window_tagger(tagger: WindowTagger, path: str | Path) -> None:
-    arrays = [("W", tagger.W), ("b", tagger.b)]
-    header = {
-        "kind": _KIND_WINDOW,
-        "feature_dim": tagger.feature_dim,
-        "turkish": tagger.turkish,
-        "arrays": [[name, list(arr.shape)] for name, arr in arrays],
-    }
-    write_container(path, MAGIC_MODEL, dump_json(header) + b"\n" + _pack_arrays(arrays))
-
-
-def load_window_tagger(path: str | Path) -> WindowTagger:
-    header, data = _read_model_container(path, _KIND_WINDOW)
-    values = _unpack_arrays(header["arrays"], data, path)
-    return WindowTagger(
-        feature_dim=int(header["feature_dim"]),
-        turkish=bool(header["turkish"]),
-        W=values["W"],
-        b=values["b"],
-    )

@@ -290,14 +290,6 @@ def field_top_k(field_index: FieldIndex, query_terms: Sequence[str], k: int) -> 
     return FieldTopK(scores, hits[np.lexsort((hits, -hit_scores))[:k]])
 
 
-def search_tokens(
-    field_index: FieldIndex, query_terms: Sequence[str], k: int
-) -> list[tuple[int, float]]:
-    """Top-k (doc_id, score) pairs for an OR query of distinct terms,
-    score descending and doc_id ascending on ties."""
-    return field_top_k(field_index, query_terms, k).ranked()
-
-
 def _distinct(terms: Iterable[str]) -> list[str]:
     return list(dict.fromkeys(terms))
 

@@ -37,9 +37,6 @@ class Representation:
     segments: tuple[Segment, ...]
     mention_ref: Mention
 
-    def segment_of(self, position: int) -> Segment:
-        return self.segments[position]
-
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -101,8 +98,3 @@ def build_representation(
     return Representation(
         tokens=tuple(tokens), segments=tuple(segments), mention_ref=mention
     )
-
-
-def render_representation(rep: Representation) -> str:
-    """Single-string debug form with literal [CLS]/[SEP] markers."""
-    return " ".join(rep.tokens)

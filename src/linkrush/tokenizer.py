@@ -7,7 +7,11 @@ is consistent end to end.
 
 from __future__ import annotations
 
-_APOSTROPHES = frozenset("'’")
+import re
+
+# A run of letters and digits, possibly joined by single apostrophes that
+# have a letter or digit on both sides; or any other non-space character.
+_TOKEN = re.compile(r"[^\W_]+(?:['’][^\W_]+)*|\S")
 
 # Dotted/dotless I handling for Turkish text; applied before lowercasing.
 _TURKISH_FOLD = str.maketrans({"I": "ı", "İ": "i"})
@@ -28,28 +32,7 @@ def tokenize(text: str, *, turkish: bool = False) -> list[str]:
     characters ("i'm" stays one token). Tokenizing the space-joined
     output of a previous call yields the same token list.
     """
-    tokens: list[str] = []
-    for chunk in fold_case(text, turkish=turkish).split():
-        tokens.extend(_split_chunk(chunk))
-    return tokens
-
-
-def _split_chunk(chunk: str) -> list[str]:
-    out: list[str] = []
-    buf: list[str] = []
-    for i, ch in enumerate(chunk):
-        if ch.isalnum():
-            buf.append(ch)
-        elif ch in _APOSTROPHES and buf and i + 1 < len(chunk) and chunk[i + 1].isalnum():
-            buf.append(ch)
-        else:
-            if buf:
-                out.append("".join(buf))
-                buf = []
-            out.append(ch)
-    if buf:
-        out.append("".join(buf))
-    return out
+    return _TOKEN.findall(fold_case(text, turkish=turkish))
 
 
 def normalize_phrase(text: str, *, turkish: bool = False) -> str:

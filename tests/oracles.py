@@ -12,7 +12,12 @@ every pooled document's anchors, and matches the sentence against it.
 `link_sentence` must return exactly the same mentions, pooled-score
 floats included.
 
-Also here: helpers with no caller in `src/` that tests still use.
+Tokenizing: the character loop that the one-regex tokenizer replaced.
+`tokenize` must return exactly the same tokens.
+
+Also here: helpers with no caller in `src/` that tests still use (the
+list form of a field search, the dense batch gradients, representation
+accessors).
 """
 
 from __future__ import annotations
@@ -21,10 +26,100 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from linkrush.classifier import MentionClassifier, SparseVector, _example_gradients
 from linkrush.corpus import IndexedDocument
-from linkrush.index import B, FIELD_NAMES, K1, CorpusIndex, FieldIndex, search_tokens
+from linkrush.index import B, FIELD_NAMES, K1, CorpusIndex, FieldIndex, field_top_k
 from linkrush.mentions import Mention, resolve_overlaps
-from linkrush.tokenizer import tokenize
+from linkrush.representation import Representation, Segment
+from linkrush.tokenizer import fold_case, tokenize
+
+_APOSTROPHES = frozenset("'’")
+
+
+def oracle_tokenize(text: str, *, turkish: bool = False) -> list[str]:
+    """Split on whitespace, then walk each chunk character by character."""
+    tokens: list[str] = []
+    for chunk in fold_case(text, turkish=turkish).split():
+        tokens.extend(_split_chunk(chunk))
+    return tokens
+
+
+def _split_chunk(chunk: str) -> list[str]:
+    out: list[str] = []
+    buf: list[str] = []
+    for i, ch in enumerate(chunk):
+        if ch.isalnum():
+            buf.append(ch)
+        elif ch in _APOSTROPHES and buf and i + 1 < len(chunk) and chunk[i + 1].isalnum():
+            buf.append(ch)
+        else:
+            if buf:
+                out.append("".join(buf))
+                buf = []
+            out.append(ch)
+    if buf:
+        out.append("".join(buf))
+    return out
+
+
+def search_tokens(
+    field_index: FieldIndex, query_terms: Sequence[str], k: int
+) -> list[tuple[int, float]]:
+    """Top-k (doc_id, score) pairs for an OR query of distinct terms,
+    score descending and doc_id ascending on ties."""
+    return field_top_k(field_index, query_terms, k).ranked()
+
+
+def segment_of(rep: Representation, position: int) -> Segment:
+    return rep.segments[position]
+
+
+def render_representation(rep: Representation) -> str:
+    """Single-string debug form with literal [CLS]/[SEP] markers."""
+    return " ".join(rep.tokens)
+
+
+def batch_loss(
+    model: MentionClassifier, features: Sequence[SparseVector], labels: Sequence[object]
+) -> float:
+    """Mean per-example loss over a batch."""
+    total = 0.0
+    for x, label in zip(features, labels):
+        total += _example_gradients(model, x, label)[0]
+    return total / len(features)
+
+
+def batch_gradients(
+    model: MentionClassifier, features: Sequence[SparseVector], labels: Sequence[object]
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean batch loss plus dense gradients for every parameter array.
+
+    Dense output exists for verification against finite differences; the
+    training loop applies the same per-example terms sparsely.
+    """
+    n = len(features)
+    grads = {
+        "W_type": np.zeros_like(model.W_type),
+        "b_type": np.zeros_like(model.b_type),
+    }
+    if not model.single_head:
+        grads["W_bin"] = np.zeros_like(model.W_bin)
+        grads["b_bin"] = np.zeros_like(model.b_bin)
+    total = 0.0
+    for x, label in zip(features, labels):
+        value, dz_bin, dz_type = _example_gradients(model, x, label)
+        total += value
+        if dz_bin is not None:
+            grads["b_bin"] += dz_bin / n
+            if x.nnz:
+                grads["W_bin"][:, x.indices] += np.outer(dz_bin, x.values) / n
+        if dz_type is not None:
+            grads["b_type"] += dz_type / n
+            if x.nnz:
+                grads["W_type"][:, x.indices] += np.outer(dz_type, x.values) / n
+    return total / n, grads
 
 
 @dataclass

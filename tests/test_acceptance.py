@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import conftest
+from oracles import batch_gradients, batch_loss, search_tokens
 from linkrush.classifier import (
     ENTITY_TYPES,
     GATE_O,
@@ -25,8 +26,6 @@ from linkrush.classifier import (
     GateDecision,
     MentionClassifier,
     TrainingConfig,
-    batch_gradients,
-    batch_loss,
     decide,
     featurize,
     forward,
@@ -50,7 +49,7 @@ from linkrush.evaluation import (
     span_extract,
     write_conll,
 )
-from linkrush.index import FIELD_NAMES, CorpusIndex, build_field_index, search_tokens
+from linkrush.index import FIELD_NAMES, CorpusIndex, build_field_index
 from linkrush.mentions import Mention, link_sentence, resolve_overlaps
 from linkrush.representation import build_representation
 from linkrush.tokenizer import normalize_token
@@ -506,14 +505,14 @@ def test_criterion_10_round_trips(
 
         tagger_a = train_baseline(gold_sentences, TrainingConfig(epochs=10, seed=3))
         tagger_b = train_baseline(gold_sentences, TrainingConfig(epochs=10, seed=3))
-        assert np.array_equal(tagger_a.W, tagger_b.W)
-        assert np.array_equal(tagger_a.b, tagger_b.b)
+        assert np.array_equal(tagger_a.W_type, tagger_b.W_type)
+        assert np.array_equal(tagger_a.b_type, tagger_b.b_type)
         tagger_path = tmp_path / "tagger.bin"
         from linkrush.ensemble import save_window_tagger
 
         save_window_tagger(tagger_a, tagger_path)
         restored_tagger = load_window_tagger(tagger_path)
-        assert np.array_equal(restored_tagger.W, tagger_a.W)
+        assert np.array_equal(restored_tagger.W_type, tagger_a.W_type)
 
         detail["text"] = (
             "index bytes and search results, tagged-data files, and "

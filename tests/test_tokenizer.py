@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from oracles import oracle_tokenize
 
 from linkrush.tokenizer import fold_case, normalize_phrase, normalize_token, tokenize
 
@@ -66,3 +68,30 @@ def test_normalize_token_never_splits():
     # CoNLL tokens must keep their shape so tags stay aligned.
     assert normalize_token("U.S.") == "u.s."
     assert normalize_token("I'm") == "i'm"
+
+
+# Apostrophes, underscores, Turkish I's, combining marks, non-ASCII digits
+# and numerals, and the separators str.split treats as whitespace.
+_ADVERSARIAL = list("aZ9 '’_-.,IİıiÇç") + [
+    "\u0307", "\u0301", "\u0663", "\u00b2", "\u00bd", "\x1c", "\x1d", "\x1e", "\x1f",
+    "\x85", "\xa0", "\u2002", "\u3000", "\t", "\n", "\u65e5", "\u00df", "\u01c5", "\u200b",
+]
+
+
+@pytest.mark.parametrize("turkish", [False, True])
+def test_regex_matches_character_loop_on_random_strings(turkish):
+    rng = np.random.default_rng(17 + turkish)
+    for _ in range(20000):
+        n = int(rng.integers(0, 12))
+        text = "".join(_ADVERSARIAL[int(i)] for i in rng.integers(0, len(_ADVERSARIAL), size=n))
+        assert tokenize(text, turkish=turkish) == oracle_tokenize(text, turkish=turkish), repr(text)
+
+
+@pytest.mark.parametrize("turkish", [False, True])
+def test_regex_matches_character_loop_on_every_code_point(turkish):
+    # Each code point of the first three planes next to word characters and
+    # apostrophes, one context at a time, all in one text per context.
+    code_points = [chr(c) for c in range(0x30000) if not 0xD800 <= c < 0xE000]
+    for context in ("{} ", "x{}y ", "a'{}'b ", "{}’1 "):
+        text = "".join(context.format(c) for c in code_points)
+        assert tokenize(text, turkish=turkish) == oracle_tokenize(text, turkish=turkish), context
