@@ -27,7 +27,14 @@ import numpy as np
 
 from .errors import DataFormatError
 from .representation import Representation
-from .storage import MAGIC_MODEL, dump_json, load_json, read_container, write_container
+from .storage import (
+    MAGIC_MODEL,
+    dump_json,
+    load_json,
+    read_arrays,
+    read_container,
+    write_container,
+)
 
 
 class EntityType(Enum):
@@ -385,18 +392,10 @@ def _read_model(path: str | Path, kind: str) -> MentionClassifier:
         raise DataFormatError(f"{path}: model header missing")
     header = load_json(payload[:sep], path)
     layout = _validate_header(header, kind, path)
-    values: dict[str, np.ndarray] = {}
-    offset = sep + 1
-    for name, shape in layout:
-        count = math.prod(shape)
-        if offset + 8 * count > len(payload):
-            raise DataFormatError(f"{path}: truncated model weights")
-        values[name] = (
-            np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        )
-        offset += 8 * count
-    if offset != len(payload):
-        raise DataFormatError(f"{path}: trailing bytes after model weights")
+    arrays = read_arrays(
+        payload, sep + 1, [(name, "<f8", math.prod(shape)) for name, shape in layout], path
+    )
+    values = {name: arrays[name].reshape(shape).copy() for name, shape in layout}
     return MentionClassifier(
         feature_dim=header["feature_dim"],
         single_head=header["single_head"],

@@ -39,7 +39,7 @@ from .index import CorpusIndex, load_corpus, save_corpus
 from .mentions import link_sentence
 from .representation import DEFAULT_MAX_LEN
 from .retrieval import DEFAULT_K, pool_stats, retrieve_pooled
-from .storage import FORMAT_VERSION
+from .storage import FORMAT_VERSIONS, MAGIC_CORPUS, MAGIC_INDEX, MAGIC_MODEL
 from .tokenizer import normalize_token, tokenize
 
 _ENV_PREFIX = "LINKRUSH_"
@@ -232,7 +232,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
                 {
                     "start": m.start,
                     "end": m.end,
-                    "title": index.documents[m.doc_id].title,
+                    "title": index.titles[m.doc_id],
                     "score": m.pooled_score,
                 }
                 for m in mentions
@@ -333,7 +333,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.version:
-        print(f"linkrush {__version__} (file format {FORMAT_VERSION})")
+        corpus, index, model = (FORMAT_VERSIONS[m] for m in (MAGIC_CORPUS, MAGIC_INDEX, MAGIC_MODEL))
+        print(f"linkrush {__version__} (file formats: corpus {corpus}, index {index}, model {model})")
         return 0
     if args.command is None:
         parser.print_usage(sys.stderr)

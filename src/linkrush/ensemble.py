@@ -132,7 +132,7 @@ def mention_candidates(
         yield mention, build_representation(
             normalized,
             mention,
-            index.documents[mention.doc_id].lead,
+            index.leads[mention.doc_id],
             max_len,
             turkish=index.turkish,
         )

@@ -9,28 +9,54 @@ Each field is stored column-wise (compressed sparse rows, one row per
 term) with every posting's BM25 contribution precomputed as its impact,
 so a query is one weighted `np.bincount` over the rows of its terms
 (Anh & Moffat, "Pruned query evaluation using pre-computed impacts",
-2006). The saved form is unchanged: JSON postings lists of
-`[doc_id, tf]` pairs.
+2006).
 
-A loaded or built index also holds its anchor table: every referred_by
-phrase mapped to the documents that list it, which linking looks up
-before it searches.
+A built or loaded index holds only what linking and tagging read: each
+document's title and lead, the four fields, and the anchor table (every
+referred_by phrase mapped to the documents that list it), which linking
+looks up before it searches.
+
+The saved form is format 2: after the container's magic and version byte
+comes one canonical JSON header line, then raw little-endian arrays in
+the order the header's `arrays` layout lists them as [name, dtype,
+count]:
+
+- per field `<name>.offsets` (<i8, one more than there are terms),
+  `<name>.doc_ids` and `<name>.tfs` (<i4, one per posting) and
+  `<name>.doc_lengths` (<i4, one per document);
+- `lead_offsets` (<i8, one more than there are documents) and `leads`
+  (u1), the leads as one UTF-8 section.
+
+The header also holds `turkish`, each field's `terms` in row order, the
+`titles`, each document's `referred_by` phrases, and `crc32`, the CRC-32
+of the header's canonical JSON without that key followed by the array
+bytes. Impacts, `avg_doc_length` and `doc_count` are not stored: load
+derives them from the columns as build does. The build-only text
+(all_text, interwikies) is not stored either; the corpus file keeps it.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from dataclasses import dataclass, field
-from itertools import chain
+import zlib
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import IndexedDocument
 from .errors import DataFormatError
-from .storage import MAGIC_CORPUS, MAGIC_INDEX, dump_json, load_json, read_container, write_container
+from .storage import (
+    MAGIC_CORPUS,
+    MAGIC_INDEX,
+    dump_json,
+    load_json,
+    read_arrays,
+    read_container,
+    write_container,
+)
 from .tokenizer import tokenize
 
 K1 = 1.2
@@ -38,7 +64,10 @@ B = 0.75
 
 FIELD_NAMES = ("title", "referred_by", "interwikies", "all_text")
 
-_FIELD_KEYS = ("postings", "doc_lengths", "avg_doc_length", "doc_count")
+# Each field's saved columns, with their dtypes in the file.
+_COLUMNS = (("offsets", "<i8"), ("doc_ids", "<i4"), ("tfs", "<i4"), ("doc_lengths", "<i4"))
+_LEAD_ARRAYS = (("lead_offsets", "<i8"), ("leads", "u1"))
+_HEADER_KEYS = frozenset({"arrays", "crc32", "referred_by", "terms", "titles", "turkish"})
 
 
 @dataclass
@@ -58,56 +87,57 @@ class FieldIndex:
     doc_ids: np.ndarray  # int32
     tfs: np.ndarray  # int32
     impacts: np.ndarray  # float64
-    doc_lengths: np.ndarray  # int64
+    doc_lengths: np.ndarray  # int32
     avg_doc_length: float
     doc_count: int
 
     @classmethod
-    def from_postings(
+    def from_columns(
         cls,
         field_name: str,
-        postings: Mapping[str, Sequence[Sequence[int]]],
+        terms: list[str],
+        offsets: Sequence[int],
+        doc_ids: Sequence[int],
+        tfs: Sequence[int],
         doc_lengths: Sequence[int],
-        avg_doc_length: float,
-        doc_count: int,
+        doc_count: int | None = None,
     ) -> "FieldIndex":
-        """Columns and impacts from term -> [(doc_id, tf), ...] lists.
+        """A field from its CSR columns, with every posting's impact.
 
-        Raises DataFormatError unless every posting is an integer pair
-        with a doc_id in [0, doc_count), strictly increasing within its
-        term, and a tf of at least 1, and there is one length per document.
+        Term terms[r]'s postings are offsets[r]:offsets[r + 1] of doc_ids
+        and tfs; there is one doc_length per document, and doc_count, when
+        given, is the number of documents the field must cover. Raises
+        DataFormatError unless the terms are distinct strings, the offsets
+        run from 0 to len(doc_ids) without decreasing, doc_ids and tfs are
+        integer columns of one entry per posting, every doc_id names a
+        document and increases strictly within its term, and every tf is
+        at least 1 and at most its document's (non-negative) length.
         """
 
         def bad(message: str) -> DataFormatError:
             return DataFormatError(f"field {field_name!r}: {message}")
 
-        if not _is_int(doc_count) or doc_count < 0:
-            raise bad(f"doc_count must be a non-negative integer, got {doc_count!r}")
-        if not _is_number(avg_doc_length):
-            raise bad(f"avg_doc_length must be a number, got {avg_doc_length!r}")
-        if not isinstance(postings, Mapping):
-            raise bad("postings must map terms to lists")
-        lengths = _int_array(doc_lengths) if isinstance(doc_lengths, list) else None
-        if lengths is None or (lengths < 0).any():
-            raise bad("doc_lengths must be a list of non-negative integers")
-        if len(lengths) != doc_count:
-            raise bad(f"{len(lengths)} doc_lengths for doc_count {doc_count}")
-
-        plists = list(postings.values())
-        if not all(isinstance(plist, (list, tuple)) for plist in plists):
-            raise bad("every term's postings must be a list")
-        offsets = np.zeros(len(plists) + 1, dtype=np.int64)
-        np.cumsum([len(plist) for plist in plists], out=offsets[1:])
-        pairs = _int_pairs(list(chain.from_iterable(plists)))
-        if pairs is None:
-            raise bad("every posting must be a [doc_id, tf] pair of integers")
-        doc_ids, tfs = pairs[:, 0], pairs[:, 1]
+        if not isinstance(terms, list) or not all(type(term) is str for term in terms):
+            raise bad("terms must be a list of strings")
+        term_rows = dict(zip(terms, range(len(terms))))
+        if len(term_rows) != len(terms):
+            raise bad("terms are not distinct")
+        doc_ids, tfs = _int_column(doc_ids, np.int32), _int_column(tfs, np.int32)
+        if doc_ids is None or tfs is None or len(doc_ids) != len(tfs):
+            raise bad("doc_ids and tfs must be int32 columns with one (doc_id, tf) pair per posting")
+        offsets = _int_column(offsets, np.int64)
+        if offsets is None or len(offsets) != len(terms) + 1:
+            raise bad(f"offsets must be an int64 column of {len(terms) + 1} entries")
+        if offsets[0] != 0 or offsets[-1] != len(doc_ids) or (np.diff(offsets) < 0).any():
+            raise bad(f"offsets must run from 0 to {len(doc_ids)} without decreasing")
+        lengths = _int_column(doc_lengths, np.int32)
+        if lengths is None or not len(lengths) or (lengths < 0).any():
+            raise bad("doc_lengths must be a non-empty int32 column of non-negative lengths")
+        if doc_count is not None and len(lengths) != doc_count:
+            raise bad(f"counts {len(lengths)} documents, the index holds {doc_count}")
+        doc_count = len(lengths)
         if ((doc_ids < 0) | (doc_ids >= doc_count)).any():
             raise bad(f"a doc_id is outside [0, {doc_count})")
-        if (tfs < 1).any():
-            raise bad("a term frequency is below 1")
-        if len(doc_ids) and avg_doc_length <= 0:
-            raise bad("avg_doc_length must be positive in a field with postings")
         # Within a term, each doc_id must exceed the one before it; a
         # term's first posting has no predecessor.
         increasing = np.diff(doc_ids) > 0
@@ -115,89 +145,99 @@ class FieldIndex:
         increasing[starts[(starts > 0) & (starts < len(doc_ids))] - 1] = True
         if not increasing.all():
             raise bad("doc_ids do not strictly increase within a term")
+        if (tfs < 1).any():
+            raise bad("a term frequency is below 1")
+        posting_lengths = lengths[doc_ids]
+        if (tfs > posting_lengths).any():
+            raise bad("a term frequency exceeds its document's length")
 
-        avg_doc_length = float(avg_doc_length)
         # Same operations, in the same order, as scoring one posting at a
         # time: idf through math.log, then idf * tf*(k1+1) / (tf + k1*norm).
+        # The idf depends on df alone, so it is computed once per value.
+        avg_doc_length = int(lengths.sum()) / doc_count
         dfs = np.diff(offsets)
-        idf = np.array([math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5)) for df in dfs.tolist()])
+        df_values, df_index = np.unique(dfs, return_inverse=True)
+        idf = np.array(
+            [math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5)) for df in df_values.tolist()]
+        )
         tf = tfs.astype(np.float64)
-        norm = 1.0 - B + B * lengths[doc_ids] / avg_doc_length
-        impacts = np.repeat(idf, dfs) * (tf * (K1 + 1.0) / (tf + K1 * norm))
+        norm = 1.0 - B + B * posting_lengths / avg_doc_length
+        impacts = np.repeat(idf[df_index], dfs) * (tf * (K1 + 1.0) / (tf + K1 * norm))
         return cls(
             field_name=field_name,
-            term_rows={term: row for row, term in enumerate(postings)},
+            term_rows=term_rows,
             offsets=offsets,
-            doc_ids=doc_ids.astype(np.int32),
-            tfs=tfs.astype(np.int32),
+            doc_ids=doc_ids,
+            tfs=tfs,
             impacts=impacts,
             doc_lengths=lengths,
             avg_doc_length=avg_doc_length,
             doc_count=doc_count,
         )
 
-    def to_json(self) -> dict:
-        """The saved form: term -> [[doc_id, tf], ...] plus the lengths."""
-        pairs = [[d, tf] for d, tf in zip(self.doc_ids.tolist(), self.tfs.tolist())]
-        bounds = self.offsets.tolist()
-        return {
-            "postings": {
-                term: pairs[bounds[row] : bounds[row + 1]] for term, row in self.term_rows.items()
-            },
-            "doc_lengths": self.doc_lengths.tolist(),
-            "avg_doc_length": self.avg_doc_length,
-            "doc_count": self.doc_count,
-        }
+    def sorted_columns(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+        """terms, offsets, doc_ids and tfs with the rows in sorted term
+        order, the order a saved index holds them in."""
+        terms = sorted(self.term_rows)
+        rows = np.array([self.term_rows[term] for term in terms], dtype=np.int64)
+        dfs = np.diff(self.offsets)[rows]
+        offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+        np.cumsum(dfs, out=offsets[1:])
+        # Each new posting position, mapped to where its row held it.
+        positions = np.repeat(self.offsets[rows] - offsets[:-1], dfs) + np.arange(offsets[-1])
+        return terms, offsets, self.doc_ids[positions], self.tfs[positions]
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: object) -> bool:
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
-
-
-def _int_pairs(pairs: list) -> np.ndarray | None:
-    """An (n, 2) int64 array of `pairs`, or None unless every one is a
-    pair of integers."""
+def _int_column(values: Sequence[int], dtype: type) -> np.ndarray | None:
+    """`values` as a 1-D array of `dtype`, or None unless they are
+    integers that fit it."""
     try:
-        if set(map(len, pairs)) - {2}:
+        column = np.asarray(values)
+    except (TypeError, ValueError):  # ragged nesting
+        return None
+    if column.ndim != 1:
+        return None
+    if not column.size:
+        return column.astype(dtype)
+    if column.dtype.kind not in "iu":
+        return None
+    if not np.can_cast(column.dtype, dtype):
+        limits = np.iinfo(dtype)
+        if column.min() < limits.min or column.max() > limits.max:
             return None
-    except TypeError:  # a posting without a length
-        return None
-    flat = _int_array(chain.from_iterable(pairs))
-    return None if flat is None else flat.reshape(-1, 2)
-
-
-def _int_array(values: Iterable) -> np.ndarray | None:
-    """An int64 array of `values`, or None unless every one is an integer."""
-    try:
-        return np.frombuffer(array("q", values), dtype=np.int64)
-    except (TypeError, OverflowError):
-        return None
+    return column.astype(dtype, copy=False)
 
 
 def build_field_index(field_name: str, token_docs: Sequence[Sequence[str]]) -> FieldIndex:
-    """Index pre-tokenized documents; doc_ids are the sequence positions."""
+    """Index pre-tokenized documents; doc_ids are the sequence positions.
+
+    Terms get rows in order of first appearance. Each document's distinct
+    terms are counted once, then one stable sort by row groups the
+    postings by term with doc_ids ascending.
+    """
     if not token_docs:
         raise ValueError("cannot build an index over zero documents")
-    postings: dict[str, list[tuple[int, int]]] = {}
-    doc_lengths: list[int] = []
-    for doc_id, tokens in enumerate(token_docs):
-        doc_lengths.append(len(tokens))
-        counts: dict[str, int] = {}
-        for token in tokens:
-            counts[token] = counts.get(token, 0) + 1
-        for term, tf in counts.items():
-            postings.setdefault(term, []).append((doc_id, tf))
-    # Appending in doc_id order already yields sorted postings lists.
-    return FieldIndex.from_postings(
+    term_rows: dict[str, int] = {}
+    rows: list[int] = []
+    tfs: list[int] = []
+    distinct: list[int] = []
+    for tokens in token_docs:
+        counts = Counter(tokens)
+        rows.extend([term_rows.setdefault(term, len(term_rows)) for term in counts])
+        tfs.extend(counts.values())
+        distinct.append(len(counts))
+    row_column = np.array(rows, dtype=np.int64)
+    order = np.argsort(row_column, kind="stable")
+    offsets = np.zeros(len(term_rows) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_column, minlength=len(term_rows)), out=offsets[1:])
+    doc_ids = np.repeat(np.arange(len(token_docs), dtype=np.int32), distinct)
+    return FieldIndex.from_columns(
         field_name,
-        postings,
-        doc_lengths,
-        avg_doc_length=sum(doc_lengths) / len(doc_lengths),
-        doc_count=len(doc_lengths),
+        list(term_rows),
+        offsets,
+        doc_ids[order],
+        np.array(tfs, dtype=np.int32)[order],
+        np.array([len(tokens) for tokens in token_docs], dtype=np.int32),
     )
 
 
@@ -308,15 +348,26 @@ class AnchorTable:
     lengths: tuple[int, ...]  # the phrase lengths present, ascending
 
     @classmethod
-    def from_documents(cls, documents: Sequence[IndexedDocument]) -> "AnchorTable":
+    def from_phrases(cls, referred_by: Iterable[Sequence[str]]) -> "AnchorTable":
+        """The table of each document's referred_by phrases, in position order."""
         phrases: dict[tuple[str, ...], list[int]] = {}
-        for position, doc in enumerate(documents):
-            for phrase in doc.referred_by:
+        for position, doc_phrases in enumerate(referred_by):
+            for phrase in doc_phrases:
                 phrases.setdefault(tuple(phrase.split(" ")), []).append(position)
         return cls(
             phrases={key: tuple(docs) for key, docs in phrases.items()},
             lengths=tuple(sorted({len(key) for key in phrases})),
         )
+
+    def phrase_lists(self, doc_count: int) -> list[list[str]]:
+        """Each document's phrases, in table order, so that `from_phrases`
+        rebuilds this table exactly, its order included."""
+        lists: list[list[str]] = [[] for _ in range(doc_count)]
+        for key, positions in self.phrases.items():
+            phrase = " ".join(key)
+            for position in positions:
+                lists[position].append(phrase)
+        return lists
 
     def lookup(self, tokens: Sequence[str]) -> list[Hit]:
         """(start, end, phrase, positions) for every span of `tokens` that
@@ -337,22 +388,22 @@ class AnchorTable:
 
 @dataclass
 class CorpusIndex:
-    """Self-contained search bundle: documents, their four field indexes,
-    and the anchor table built from their referred_by phrases."""
+    """Self-contained search bundle: per document its title and lead (by
+    position), the four field indexes, and the anchor table."""
 
-    documents: list[IndexedDocument]
+    titles: list[str]
+    leads: list[str]
     fields: dict[str, FieldIndex]
+    anchors: AnchorTable
     turkish: bool = False
-    anchors: AnchorTable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.anchors = AnchorTable.from_documents(self.documents)
 
     @classmethod
     def build(cls, documents: Sequence[IndexedDocument], *, turkish: bool = False) -> "CorpusIndex":
         return cls(
-            documents=list(documents),
+            titles=[doc.title for doc in documents],
+            leads=[doc.lead for doc in documents],
             fields=build_index(documents, turkish=turkish),
+            anchors=AnchorTable.from_phrases(doc.referred_by for doc in documents),
             turkish=turkish,
         )
 
@@ -360,45 +411,121 @@ class CorpusIndex:
         return field_top_k(self.fields[field_name], query_terms, k)
 
     def save(self, path: str | Path) -> None:
-        payload = {
+        terms, columns = {}, []
+        for name in FIELD_NAMES:
+            terms[name], *postings = self.fields[name].sorted_columns()
+            values = (*postings, self.fields[name].doc_lengths)
+            columns += [(f"{name}.{c}", dtype, v) for (c, dtype), v in zip(_COLUMNS, values)]
+        leads = [lead.encode("utf-8") for lead in self.leads]
+        columns.append(("lead_offsets", "<i8", np.cumsum([0] + [len(lead) for lead in leads])))
+        columns.append(("leads", "u1", np.frombuffer(b"".join(leads), dtype=np.uint8)))
+        header = {
             "turkish": self.turkish,
-            "documents": [_doc_to_json(d) for d in self.documents],
-            "fields": {name: fi.to_json() for name, fi in self.fields.items()},
+            "terms": terms,
+            "titles": self.titles,
+            "referred_by": self.anchors.phrase_lists(len(self.titles)),
+            "arrays": [[name, dtype, len(values)] for name, dtype, values in columns],
         }
-        write_container(path, MAGIC_INDEX, dump_json(payload))
+        arrays = b"".join(np.ascontiguousarray(v, dtype=dtype).tobytes() for _, dtype, v in columns)
+        header["crc32"] = zlib.crc32(arrays, zlib.crc32(dump_json(header)))
+        write_container(path, MAGIC_INDEX, dump_json(header) + b"\n" + arrays)
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusIndex":
-        payload = load_json(read_container(path, MAGIC_INDEX), path)
-        if not isinstance(payload, dict) or not isinstance(payload.get("fields"), dict):
-            raise DataFormatError(f"{path}: index payload missing fields section")
-        raw_fields = payload["fields"]
-        unknown = sorted(set(raw_fields) - set(FIELD_NAMES))
-        if unknown:
-            raise DataFormatError(f"{path}: unknown index field {unknown[0]!r}")
-        documents = _docs_from_json(payload.get("documents"), path)
+        payload = read_container(path, MAGIC_INDEX)
+        sep = payload.find(b"\n")
+        if sep < 0:
+            raise DataFormatError(f"{path}: index header missing")
+        header = load_json(payload[:sep], path)
+        _check_header(header, path)
+        crc = header.pop("crc32")
+        if zlib.crc32(memoryview(payload)[sep + 1 :], zlib.crc32(dump_json(header))) != crc:
+            raise DataFormatError(f"{path}: checksum mismatch: the index file is corrupt")
+        arrays = read_arrays(payload, sep + 1, header["arrays"], path)
+        titles = header["titles"]
         fields = {}
         for name in FIELD_NAMES:
-            raw = raw_fields.get(name)
-            if not isinstance(raw, dict):
-                raise DataFormatError(f"{path}: index lacks the {name!r} field")
-            for key in _FIELD_KEYS:
-                if key not in raw:
-                    raise DataFormatError(f"{path}: field {name!r} lacks {key!r}")
+            columns = (arrays[f"{name}.{column}"] for column, _ in _COLUMNS)
             try:
-                fields[name] = FieldIndex.from_postings(name, *(raw[key] for key in _FIELD_KEYS))
+                fields[name] = FieldIndex.from_columns(
+                    name, header["terms"][name], *columns, doc_count=len(titles)
+                )
             except DataFormatError as exc:
                 raise DataFormatError(f"{path}: {exc}") from None
-            if fields[name].doc_count != len(documents):
-                raise DataFormatError(
-                    f"{path}: field {name!r} counts {fields[name].doc_count} documents, "
-                    f"the index holds {len(documents)}"
-                )
         return cls(
-            documents=documents,
+            titles=titles,
+            leads=_decode_leads(arrays["lead_offsets"], arrays["leads"], len(titles), path),
             fields=fields,
-            turkish=bool(payload.get("turkish", False)),
+            anchors=AnchorTable.from_phrases(header["referred_by"]),
+            turkish=header["turkish"],
         )
+
+
+def _check_header(header: object, path: str | Path) -> None:
+    """Every key of an index header present, of its type, with the array
+    layout of format 2; the columns themselves are checked on use."""
+    if not isinstance(header, dict):
+        raise DataFormatError(f"{path}: malformed index header")
+    missing, extra = sorted(_HEADER_KEYS - set(header)), sorted(set(header) - _HEADER_KEYS)
+    if missing or extra:
+        raise DataFormatError(f"{path}: index header keys missing {missing}, unexpected {extra}")
+    if type(header["turkish"]) is not bool or type(header["crc32"]) is not int:
+        raise DataFormatError(f"{path}: turkish must be true or false and crc32 an integer")
+    titles, referred_by = header["titles"], header["referred_by"]
+    if not isinstance(titles, list) or not all(type(title) is str for title in titles):
+        raise DataFormatError(f"{path}: titles must be a list of strings")
+    if not isinstance(referred_by, list) or len(referred_by) != len(titles):
+        raise DataFormatError(f"{path}: referred_by must hold one list per document")
+    for position, phrases in enumerate(referred_by):
+        if not isinstance(phrases, list) or not all(type(p) is str for p in phrases):
+            raise DataFormatError(
+                f"{path}: document {position}: referred_by must be a list of strings"
+            )
+    terms = header["terms"]
+    if not isinstance(terms, dict):
+        raise DataFormatError(f"{path}: terms must map each field to its terms")
+    missing, extra = sorted(set(FIELD_NAMES) - set(terms)), sorted(set(terms) - set(FIELD_NAMES))
+    if missing or extra:
+        raise DataFormatError(f"{path}: index fields missing {missing}, unexpected {extra}")
+    expected = [
+        *([f"{name}.{column}", dtype] for name in FIELD_NAMES for column, dtype in _COLUMNS),
+        *([name, dtype] for name, dtype in _LEAD_ARRAYS),
+    ]
+    layout = header["arrays"]
+    if not isinstance(layout, list) or not all(
+        isinstance(entry, list) and len(entry) == 3 for entry in layout
+    ):
+        raise DataFormatError(f"{path}: arrays must list [name, dtype, count] triples")
+    names = [entry[0] for entry in layout]
+    for name, _ in expected:
+        if name not in names:
+            raise DataFormatError(f"{path}: index lacks the {name!r} array")
+    if [entry[:2] for entry in layout] != expected:
+        raise DataFormatError(f"{path}: array layout {layout!r} is not format 2's {expected!r}")
+
+
+def _decode_leads(
+    offsets: np.ndarray, section: np.ndarray, doc_count: int, path: str | Path
+) -> list[str]:
+    """Each document's lead: bytes offsets[i]:offsets[i + 1] of the UTF-8 section."""
+    if (
+        len(offsets) != doc_count + 1
+        or offsets[0] != 0
+        or offsets[-1] != len(section)
+        or (np.diff(offsets) < 0).any()
+    ):
+        raise DataFormatError(
+            f"{path}: lead_offsets must run from 0 to {len(section)} over {doc_count} leads"
+        )
+    text = section.tobytes()
+    bounds = offsets.tolist()
+    leads = []
+    for position, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        try:
+            leads.append(text[start:end].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: lead {position} is not valid UTF-8: {exc}") from None
+    return leads
 
 
 def save_corpus(documents: Sequence[IndexedDocument], path: str | Path, *, turkish: bool = False) -> None:
@@ -408,10 +535,11 @@ def save_corpus(documents: Sequence[IndexedDocument], path: str | Path, *, turki
 
 def load_corpus(path: str | Path) -> tuple[list[IndexedDocument], bool]:
     payload = load_json(read_container(path, MAGIC_CORPUS), path)
-    if not isinstance(payload, dict) or "documents" not in payload:
-        raise DataFormatError(f"{path}: corpus payload missing documents section")
-    docs = _docs_from_json(payload["documents"], path)
-    return docs, bool(payload.get("turkish", False))
+    if not isinstance(payload, dict) or set(payload) != {"documents", "turkish"}:
+        raise DataFormatError(f"{path}: corpus payload must hold exactly documents and turkish")
+    if type(payload["turkish"]) is not bool:
+        raise DataFormatError(f"{path}: turkish must be true or false")
+    return _docs_from_json(payload["documents"], path), payload["turkish"]
 
 
 def _doc_to_json(doc: IndexedDocument) -> dict:
@@ -437,7 +565,7 @@ def _docs_from_json(raw: object, path: str | Path) -> list[IndexedDocument]:
 def _doc_from_json(raw: dict, position: int) -> IndexedDocument:
     """One document record; documents are addressed by list position, so
     its doc_id must equal that position."""
-    if not _is_int(raw["doc_id"]) or raw["doc_id"] != position:
+    if type(raw["doc_id"]) is not int or raw["doc_id"] != position:
         raise ValueError(f"document {position} has doc_id {raw['doc_id']!r}")
     for key in ("title", "all_text", "lead"):
         if not isinstance(raw[key], str):

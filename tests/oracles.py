@@ -15,24 +15,51 @@ floats included.
 Tokenizing: the character loop that the one-regex tokenizer replaced.
 `tokenize` must return exactly the same tokens.
 
+Index format 1: the JSON index file that format 2 replaced, one record
+per document plus every field's postings as `[doc_id, tf]` lists. Its
+writer and reader stay here so that format 2 can be checked against it:
+a format-2 round trip must load exactly what a format-1 round trip
+loads.
+
 Also here: helpers with no caller in `src/` that tests still use (the
 list form of a field search, the dense batch gradients, representation
-accessors).
+accessors, and the split and rejoin of a format-2 index file that the
+malformed-file tests edit).
 """
 
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from linkrush.classifier import MentionClassifier, SparseVector, _example_gradients
 from linkrush.corpus import IndexedDocument
-from linkrush.index import B, FIELD_NAMES, K1, CorpusIndex, FieldIndex, field_top_k
+from linkrush.index import (
+    B,
+    FIELD_NAMES,
+    K1,
+    AnchorTable,
+    CorpusIndex,
+    FieldIndex,
+    _doc_to_json,
+    _docs_from_json,
+    field_top_k,
+)
 from linkrush.mentions import Mention, resolve_overlaps
 from linkrush.representation import Representation, Segment
+from linkrush.storage import (
+    MAGIC_INDEX,
+    dump_json,
+    load_json,
+    read_arrays,
+    read_container,
+    write_container,
+)
 from linkrush.tokenizer import fold_case, tokenize
 
 _APOSTROPHES = frozenset("'’")
@@ -277,6 +304,133 @@ def oracle_retrieve_pooled(
     )
 
 
+def save_index_v1(
+    path: str | Path,
+    documents: Sequence[IndexedDocument],
+    fields: dict[str, FieldIndex],
+    *,
+    turkish: bool = False,
+) -> None:
+    """The format-1 index file of `documents` and their `fields`."""
+
+    def field_json(fi: FieldIndex) -> dict:
+        pairs = [[d, tf] for d, tf in zip(fi.doc_ids.tolist(), fi.tfs.tolist())]
+        bounds = fi.offsets.tolist()
+        return {
+            "postings": {
+                term: pairs[bounds[row] : bounds[row + 1]] for term, row in fi.term_rows.items()
+            },
+            "doc_lengths": fi.doc_lengths.tolist(),
+            "avg_doc_length": fi.avg_doc_length,
+            "doc_count": fi.doc_count,
+        }
+
+    payload = {
+        "turkish": turkish,
+        "documents": [_doc_to_json(d) for d in documents],
+        "fields": {name: field_json(fi) for name, fi in fields.items()},
+    }
+    Path(path).write_bytes(MAGIC_INDEX + bytes([1]) + dump_json(payload))
+
+
+def load_index_v1(path: str | Path) -> CorpusIndex:
+    """A format-1 index file, loaded as format-1 loading did: each field's
+    postings lists become CSR columns in term order, and the stored
+    avg_doc_length and doc_count must equal the ones derived from them."""
+    data = Path(path).read_bytes()
+    assert data[: len(MAGIC_INDEX) + 1] == MAGIC_INDEX + bytes([1])
+    payload = load_json(data[len(MAGIC_INDEX) + 1 :], path)
+    documents = _docs_from_json(payload["documents"], path)
+    fields = {}
+    for name in FIELD_NAMES:
+        raw = payload["fields"][name]
+        plists = list(raw["postings"].values())
+        offsets = np.cumsum([0] + [len(plist) for plist in plists])
+        pairs = np.array([pair for plist in plists for pair in plist], dtype=np.int64).reshape(-1, 2)
+        fields[name] = FieldIndex.from_columns(
+            name, list(raw["postings"]), offsets, pairs[:, 0], pairs[:, 1], raw["doc_lengths"]
+        )
+        assert fields[name].avg_doc_length == raw["avg_doc_length"]
+        assert fields[name].doc_count == raw["doc_count"] == len(documents)
+    return CorpusIndex(
+        titles=[d.title for d in documents],
+        leads=[d.lead for d in documents],
+        fields=fields,
+        anchors=AnchorTable.from_phrases(d.referred_by for d in documents),
+        turkish=payload["turkish"],
+    )
+
+
+def _loaded_state(index: CorpusIndex) -> dict:
+    """Everything a loaded index holds, in comparable form."""
+    state = {
+        "titles": index.titles,
+        "leads": index.leads,
+        "turkish": index.turkish,
+        "anchors": list(index.anchors.phrases.items()),
+        "anchor_lengths": index.anchors.lengths,
+    }
+    for name, fi in index.fields.items():
+        state[name] = {
+            "terms": list(fi.term_rows),
+            "impacts": fi.impacts.tobytes(),
+            "avg_doc_length": fi.avg_doc_length,
+            "doc_count": fi.doc_count,
+            **{c: getattr(fi, c).tolist() for c in ("offsets", "doc_ids", "tfs", "doc_lengths")},
+        }
+    return state
+
+
+def assert_v2_loads_as_v1(
+    documents: Sequence[IndexedDocument], built: CorpusIndex, tmp_path: Path
+) -> None:
+    """A format-2 round trip of `built` loads exactly what the format-1
+    round trip of it and its `documents` loads: term order, columns,
+    impact bytes, lengths, titles, leads and the anchor table."""
+    v1, v2 = tmp_path / "v1.bin", tmp_path / "v2.bin"
+    save_index_v1(v1, documents, built.fields, turkish=built.turkish)
+    built.save(v2)
+    from_v1, from_v2 = load_index_v1(v1), CorpusIndex.load(v2)
+    assert list(from_v2.fields) == list(from_v1.fields) == list(FIELD_NAMES)
+    assert _loaded_state(from_v2) == _loaded_state(from_v1)
+
+
+def index_arrays(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """A format-2 index file's header, without its crc32, and its arrays
+    as writable copies, by name."""
+    header, blob = index_header(path)
+    arrays = read_arrays(blob, 0, header["arrays"], path)
+    return header, {name: values.copy() for name, values in arrays.items()}
+
+
+def index_header(path: str | Path) -> tuple[dict, bytes]:
+    """A format-2 index file's header, without its crc32, and its array
+    bytes."""
+    payload = read_container(path, MAGIC_INDEX)
+    sep = payload.index(b"\n")
+    header = load_json(payload[:sep], path)
+    del header["crc32"]
+    return header, payload[sep + 1 :]
+
+
+def write_index_arrays(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """A format-2 index file of `header` and the `arrays` it lists, the
+    counts and crc32 brought up to date, so that an edited file gets past
+    the checksum to the check under test. An array missing from `arrays`
+    is left out of the layout."""
+    layout = [[name, dtype, len(arrays[name])] for name, dtype, _ in header["arrays"] if name in arrays]
+    blob = b"".join(np.ascontiguousarray(arrays[name], dtype=dtype).tobytes() for name, dtype, _ in layout)
+    write_index_raw(path, {**header, "arrays": layout}, blob)
+
+
+def write_index_raw(path: str | Path, header: object, blob: bytes) -> None:
+    """A format-2 index file of `header` (a dict gets a crc32 of itself
+    and `blob`) and the array bytes `blob`, as they are."""
+    if isinstance(header, dict):
+        header = {**header, "crc32": zlib.crc32(blob, zlib.crc32(dump_json(header)))}
+    write_container(path, MAGIC_INDEX, dump_json(header) + b"\n" + blob)
+
+
 def oracle_find_matches(
     sentence_tokens: Sequence[str],
     pool: CandidatePool,
@@ -318,13 +472,15 @@ def oracle_find_matches(
 def oracle_link_sentence(
     sentence_tokens: Sequence[str],
     index: CorpusIndex,
+    documents: Sequence[IndexedDocument],
     k: int,
     *,
     fields: tuple[str, ...] = FIELD_NAMES,
 ) -> list[Mention]:
-    """Retrieve the pool, match its anchors, resolve overlaps."""
+    """Retrieve the pool, match the anchors of its `documents`, resolve
+    overlaps."""
     pool = oracle_retrieve_pooled(list(sentence_tokens), index, k, fields=fields)
-    return resolve_overlaps(oracle_find_matches(sentence_tokens, pool, index.documents))
+    return resolve_overlaps(oracle_find_matches(sentence_tokens, pool, documents))
 
 
 def mention_recall(

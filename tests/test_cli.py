@@ -9,9 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import save_index_v1, write_index_raw
+
 from linkrush import __version__
 from linkrush.cli import main
+from linkrush.index import FIELD_NAMES, CorpusIndex, load_corpus
 from linkrush.storage import (
+    MAGIC_CORPUS,
     MAGIC_INDEX,
     MAGIC_MODEL,
     dump_json,
@@ -115,16 +119,21 @@ class TestErrorPaths:
 
     def test_malformed_index_exits_two(self, tmp_path, capsys):
         index = tmp_path / "index.bin"
-        write_container(
-            index, MAGIC_INDEX, dump_json({"fields": {"title": {}}, "documents": []})
-        )
+        header = {
+            "turkish": False,
+            "terms": {name: [] for name in FIELD_NAMES},
+            "titles": [],
+            "referred_by": [],
+            "arrays": [],
+        }
+        write_index_raw(index, header, b"")
         sentences = tmp_path / "sentences.txt"
         sentences.write_text("Nokia was founded in 1865\n", encoding="utf-8")
         code, _, err = run(
             capsys, "link", "--index", str(index), "--input", str(sentences)
         )
         assert code == 2
-        assert "'title'" in err and "postings" in err
+        assert "'title.offsets'" in err and "lacks" in err
         assert "Traceback" not in err
 
     def test_invalid_env_value(self, tmp_path, capsys, monkeypatch):
@@ -367,8 +376,10 @@ class TestLinkOutputPinned:
 
 
 class TestDocumentRecordValidation:
-    """A malformed document record in an index exits 2 on load, before
-    any sentence is linked."""
+    """A malformed document record in a corpus file exits 2 on load,
+    before anything is indexed. (Index files hold no document records
+    since format 2; `test_index.py` checks their titles, phrase lists and
+    leads.)"""
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -384,17 +395,101 @@ class TestDocumentRecordValidation:
         ],
     )
     def test_bad_record_exits_two(self, pipeline, tmp_path, capsys, key, value, message):
-        payload = load_json(read_container(pipeline["index"], MAGIC_INDEX), pipeline["index"])
+        payload = load_json(read_container(pipeline["corpus"], MAGIC_CORPUS), pipeline["corpus"])
         payload["documents"][0][key] = value
-        index = tmp_path / "index.bin"
-        write_container(index, MAGIC_INDEX, dump_json(payload))
-        code, out, err = run(
-            capsys, "link", "--index", str(index),
-            "--input", str(FIXTURES / "gold.conll"), "--format", "conll",
-        )
+        corpus, index = tmp_path / "corpus.bin", tmp_path / "index.bin"
+        write_container(corpus, MAGIC_CORPUS, dump_json(payload))
+        code, out, err = run(capsys, "index", "--corpus", str(corpus), "--out", str(index))
         assert code == 2
         assert out == ""
         assert "document 0" in err and message in err
+        assert "Traceback" not in err
+        assert not index.exists()
+
+
+class TestFuzzedFiles:
+    """Seeded truncations, byte flips and key deletions of a saved index
+    and corpus, through the CLI. Every damaged index exits 2: the CRC
+    covers the header and the arrays. A damaged corpus exits 2 when it is
+    truncated or loses a key; a flipped byte inside a JSON string can
+    leave a valid corpus, so a flip exits 0 or 2. None exits 1 or raises."""
+
+    def _cases(self, data, rng, header_end):
+        cuts = {0, 8, 9, header_end, header_end + 1, len(data) - 1}
+        cuts |= {int(c) for c in rng.integers(0, len(data), 60)}
+        flips = {int(p) for p in rng.integers(0, len(data), 150)}
+        flips |= set(range(10)) | {header_end, header_end + 1, len(data) - 1}
+        flips |= {int(p) for p in rng.integers(header_end, len(data), 50)}
+        return sorted(cuts), [(p, int(rng.integers(1, 256))) for p in sorted(flips)]
+
+    def _index_exit(self, capsys, path, sentences):
+        code, out, err = run(capsys, "link", "--index", str(path), "--input", str(sentences))
+        assert "Traceback" not in err
+        return code, out
+
+    def test_index_mutations_exit_two(self, pipeline, tmp_path, capsys):
+        data = pipeline["index"].read_bytes()
+        sentences = tmp_path / "sentences.txt"
+        sentences.write_text("the nokia 2010 sold well\n", encoding="utf-8")
+        path = tmp_path / "index.bin"
+        cuts, flips = self._cases(data, np.random.default_rng(18), data.index(b"\n"))
+        damaged = [data[:cut] for cut in cuts]
+        for position, mask in flips:
+            flipped = bytearray(data)
+            flipped[position] ^= mask
+            damaged.append(bytes(flipped))
+        payload = read_container(pipeline["index"], MAGIC_INDEX)
+        sep = payload.index(b"\n")
+        header = load_json(payload[:sep], pipeline["index"])
+        for key in sorted(header):
+            rest = {k: v for k, v in header.items() if k != key}
+            damaged.append(data[:9] + dump_json(rest) + payload[sep:])
+        assert len(damaged) > 250
+        for bad in damaged:
+            path.write_bytes(bad)
+            assert self._index_exit(capsys, path, sentences) == (2, "")
+        path.write_bytes(data)
+        assert self._index_exit(capsys, path, sentences)[0] == 0
+
+    def test_corpus_mutations_exit_zero_or_two(self, pipeline, tmp_path, capsys):
+        data = pipeline["corpus"].read_bytes()
+        path, out = tmp_path / "corpus.bin", tmp_path / "index.bin"
+
+        def index_exit(bad):
+            path.write_bytes(bad)
+            code, _, err = run(capsys, "index", "--corpus", str(path), "--out", str(out))
+            assert "Traceback" not in err
+            return code
+
+        cuts, flips = self._cases(data, np.random.default_rng(7), 9)
+        for cut in cuts:
+            assert index_exit(data[:cut]) == 2
+        payload = load_json(read_container(pipeline["corpus"], MAGIC_CORPUS), path)
+        for key in sorted(payload):
+            rest = {k: v for k, v in payload.items() if k != key}
+            assert index_exit(data[:9] + dump_json(rest)) == 2
+        for key in sorted(payload["documents"][0]):
+            docs = [dict(d) for d in payload["documents"]]
+            del docs[3][key]
+            assert index_exit(data[:9] + dump_json({**payload, "documents": docs})) == 2
+        codes = []
+        for position, mask in flips:
+            flipped = bytearray(data)
+            flipped[position] ^= mask
+            codes.append(index_exit(bytes(flipped)))
+        assert set(codes) <= {0, 2} and codes.count(2) > len(codes) // 4
+        assert index_exit(data) == 0
+
+    def test_format_1_index_names_the_rebuild(self, pipeline, tmp_path, capsys):
+        documents, _ = load_corpus(pipeline["corpus"])
+        path = tmp_path / "v1.bin"
+        save_index_v1(path, documents, CorpusIndex.build(documents).fields)
+        code, out, err = run(
+            capsys, "link", "--index", str(path), "--input", str(FIXTURES / "gold.conll"),
+            "--format", "conll",
+        )
+        assert (code, out) == (2, "")
+        assert "version 1" in err and "linkrush index" in err
         assert "Traceback" not in err
 
 

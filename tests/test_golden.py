@@ -14,7 +14,10 @@ behaviour; a failure names the version in use. A change that alters
 floats on purpose re-pins them and says why. The `models` pin was
 re-pinned once when both model kinds moved to one header layout (with
 `turkish` and `epoch_losses`); the weight bytes after each header did
-not change.
+not change. The `index` pin was re-pinned once when the index moved to
+format 2 (binary columns behind a JSON header); the format-1 bytes are
+still pinned as `FORMAT_1_INDEX`, through the format-1 writer kept as a
+test oracle, and a format-2 round trip must load what format 1 loads.
 
 The gate path is not pinned: at 1000 articles the training sentences
 yield no non-entity candidates, and the binary head vetoes none of the
@@ -30,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import assert_v2_loads_as_v1, save_index_v1
 
 from linkrush.classifier import TrainingConfig, load_model, save_model, train
 from linkrush.corpus import ingest
@@ -53,11 +57,14 @@ LONG_COUNT = 150
 EPOCHS = 10
 
 GOLDEN = {
-    "index": "4ab408689bd27ca1181729d5539e638ab08f17321754f71d387aedc22c70b6e5",
+    "index": "dee45585ee8585a0ddd98d7bc29224f18aa5447adb81a26fe9df85458fee2f9b",
     "models": "de93293fd4fd33aef24dc3df4580264a12ea42c0046c7a71d8a1bfe686fba8f8",
     "short_predictions": "4ebc8474ef5e9030ef7f724fd40efeae268c2a3443b3eb4bd2e5f5d0e671d99d",
     "long_predictions": "3a23cc0d89315686567dc3ac03abe13988a48090bb66da83b387cf08bcbe1f84",
 }
+
+# The index as format 1 wrote it, which `oracles.save_index_v1` must still write.
+FORMAT_1_INDEX = "4ab408689bd27ca1181729d5539e638ab08f17321754f71d387aedc22c70b6e5"
 
 
 def _synth():
@@ -105,6 +112,8 @@ def golden_run(tmp_path_factory):
         for name, out in (("short_predictions", short_dir), ("long_predictions", long_dir))
     }
     return {
+        "documents": documents,
+        "built": built,
         "index": _sha256(index_path.read_bytes()),
         "models": _sha256(model_path.read_bytes() + window_path.read_bytes()),
         **{name: _sha256(text.encode("utf-8")) for name, text in predictions.items()},
@@ -117,3 +126,14 @@ def test_golden_hash(golden_run, artifact):
         f"{artifact} SHA-256 changed (NumPy {np.__version__}); "
         "the pins were computed with NumPy 2.4.6"
     )
+
+
+def test_format_1_oracle_and_format_2_agree(golden_run, tmp_path):
+    """The format-1 writer in `oracles` still writes the bytes format 1
+    was pinned at, and a format-2 round trip loads what a format-1 round
+    trip loads."""
+    documents, built = golden_run["documents"], golden_run["built"]
+    v1 = tmp_path / "v1.bin"
+    save_index_v1(v1, documents, built.fields)
+    assert _sha256(v1.read_bytes()) == FORMAT_1_INDEX
+    assert_v2_loads_as_v1(documents, built, tmp_path)

@@ -4,10 +4,25 @@ dict-of-postings scorer in `oracles`; index loading and validation."""
 from __future__ import annotations
 
 import math
+import zlib
 
 import numpy as np
 import pytest
-from oracles import bm25_score, oracle_field_index, oracle_search_tokens, search, search_tokens
+from oracles import (
+    _tf_part,
+    assert_v2_loads_as_v1,
+    bm25_score,
+    index_arrays,
+    index_header,
+    load_index_v1,
+    oracle_field_index,
+    oracle_search_tokens,
+    save_index_v1,
+    search,
+    search_tokens,
+    write_index_arrays,
+    write_index_raw,
+)
 
 from linkrush.corpus import IndexedDocument
 from linkrush.errors import DataFormatError
@@ -207,6 +222,27 @@ class TestColumnarMatchesOracle:
             index, ["a", "b"], 5
         )
 
+    def test_build_columns_equal_oracle(self):
+        # The same seeded corpora as test_random_zipfian_corpora: rows in
+        # order of first appearance, postings by doc_id, impacts bit-exact.
+        rng = np.random.default_rng(2006)
+        for _ in range(6):
+            _, _, docs = _zipf_corpus(rng, int(rng.integers(200, 400)))
+            index, oracle = build_field_index("text", docs), oracle_field_index(docs)
+            assert list(index.term_rows) == list(oracle.postings)
+            plists = list(oracle.postings.values())
+            assert index.offsets.tolist() == np.cumsum([0] + [len(pl) for pl in plists]).tolist()
+            assert index.doc_ids.tolist() == [d for pl in plists for d, _ in pl]
+            assert index.tfs.tolist() == [tf for pl in plists for _, tf in pl]
+            assert index.doc_lengths.tolist() == oracle.doc_lengths
+            assert (index.avg_doc_length, index.doc_count) == (oracle.avg_doc_length, oracle.doc_count)
+            impacts = [
+                oracle.idf(term) * _tf_part(tf, oracle, d)
+                for term, pl in oracle.postings.items()
+                for d, tf in pl
+            ]
+            assert index.impacts.tobytes() == np.array(impacts).tobytes()
+
     def test_all_empty_field(self):
         docs = [[], [], []]
         index, oracle = build_field_index("interwikies", docs), oracle_field_index(docs)
@@ -214,46 +250,60 @@ class TestColumnarMatchesOracle:
 
 
 class TestFromPostingsValidation:
+    """`FieldIndex.from_columns`, the one constructor that build and load
+    share, on malformed postings columns. Each case is the column form of
+    a malformed format-1 postings list or field value."""
+
+    DOCS = [["a", "b"], ["b"], ["b", "c", "c"]]
+
     def _raw(self):
-        return build_field_index("title", [["a", "b"], ["b"], ["b", "c", "c"]]).to_json()
+        fi = build_field_index("title", self.DOCS)
+        raw = {"terms": list(fi.term_rows)}
+        for column in ("offsets", "doc_ids", "tfs", "doc_lengths"):
+            raw[column] = getattr(fi, column).tolist()
+        return raw
 
     def _load(self, raw):
-        return FieldIndex.from_postings(
-            "title", raw["postings"], raw["doc_lengths"], raw["avg_doc_length"], raw["doc_count"]
-        )
+        return FieldIndex.from_columns("title", **raw)
 
     def test_round_trip_is_exact(self):
         raw = self._raw()
         rebuilt = self._load(raw)
-        assert rebuilt.to_json() == raw
-        original = build_field_index("title", [["a", "b"], ["b"], ["b", "c", "c"]])
-        assert rebuilt.impacts.tolist() == original.impacts.tolist()
+        assert list(rebuilt.term_rows) == raw["terms"] == ["a", "b", "c"]
+        for column in ("offsets", "doc_ids", "tfs", "doc_lengths"):
+            assert getattr(rebuilt, column).tolist() == raw[column]
+        original = build_field_index("title", self.DOCS)
+        assert rebuilt.impacts.tobytes() == original.impacts.tobytes()
+        assert (rebuilt.avg_doc_length, rebuilt.doc_count) == (2.0, 3)
 
+    # One term, "a", over three documents of lengths 2, 1 and 3; each case
+    # replaces some of its columns (format 1's list in the comment).
     @pytest.mark.parametrize(
         "postings, message",
         [
-            ({"a": [[0, 1, 2]]}, "pair"),
-            ({"a": [[0]]}, "pair"),
-            ({"a": [0, 1]}, "pair"),
-            ({"a": [[0, 1.5]]}, "pair"),
-            ({"a": [["0", 1]]}, "pair"),
-            ({"a": [[0, None]]}, "pair"),
-            ({"a": [[0, 1], [1]]}, "pair"),
-            ({"a": "0 1"}, "list"),
-            ({"a": [[3, 1]]}, "outside"),
-            ({"a": [[-1, 1]]}, "outside"),
-            ({"a": [[1, 1], [0, 1]]}, "increase"),
-            ({"a": [[1, 1], [1, 2]]}, "increase"),
-            ({"a": [[0, 0]]}, "below 1"),
+            ({"doc_ids": [0], "tfs": [1, 2]}, "pair"),  # [[0, 1, 2]]
+            ({"doc_ids": [0], "tfs": []}, "pair"),  # [[0]]
+            ({"doc_ids": [[0, 1]], "tfs": [[0, 1]]}, "pair"),  # [0, 1]
+            ({"doc_ids": [0], "tfs": [1.5]}, "pair"),  # [[0, 1.5]]
+            ({"doc_ids": ["0"], "tfs": [1]}, "pair"),  # [["0", 1]]
+            ({"doc_ids": [0], "tfs": [None]}, "pair"),  # [[0, None]]
+            ({"doc_ids": [0, 1], "tfs": [1]}, "pair"),  # [[0, 1], [1]]
+            ({"terms": "a"}, "list"),  # "0 1"
+            ({"doc_ids": [3]}, "outside"),
+            ({"doc_ids": [-1]}, "outside"),
+            ({"doc_ids": [1, 0], "tfs": [1, 1]}, "increase"),
+            ({"doc_ids": [1, 1], "tfs": [1, 2]}, "increase"),
+            ({"tfs": [0]}, "below 1"),
         ],
     )
     def test_bad_postings_rejected(self, postings, message):
-        raw = {**self._raw(), "postings": postings}
+        raw = {"terms": ["a"], "doc_ids": [0], "tfs": [1], "doc_lengths": [2, 1, 3], **postings}
+        raw["offsets"] = [0, len(raw["doc_ids"])]
         with pytest.raises(DataFormatError, match=message):
             self._load(raw)
 
     def test_doc_ids_may_restart_at_each_term(self):
-        raw = {**self._raw(), "postings": {"a": [[1, 1], [2, 1]], "b": [[0, 2]], "c": []}}
+        raw = {**self._raw(), "offsets": [0, 2, 3, 3], "doc_ids": [1, 2, 0], "tfs": [1, 1, 2]}
         assert self._load(raw).doc_ids.tolist() == [1, 2, 0]
 
     @pytest.mark.parametrize(
@@ -262,11 +312,18 @@ class TestFromPostingsValidation:
             ("doc_lengths", [2, 1]),
             ("doc_lengths", [2, 1, -3]),
             ("doc_lengths", "2 1 3"),
-            ("doc_count", "3"),
-            ("doc_count", 4),
-            ("avg_doc_length", None),
-            ("avg_doc_length", 0.0),
-            ("postings", [["a", [[0, 1]]]]),
+            ("doc_lengths", [0, 0, 0]),  # format 1: avg_doc_length 0.0 under postings
+            ("doc_lengths", [2, 1, 1]),  # "c" occurs twice in a one-token document
+            ("doc_lengths", []),
+            ("terms", ["a", "b"]),
+            ("terms", [["a"], "b", "c"]),  # format 1: postings not a mapping
+            ("terms", ["a", "b", "b"]),
+            ("offsets", [1, 1, 4, 5]),
+            ("offsets", [0, 4, 1, 5]),
+            ("offsets", [0, 1, 4, 4]),
+            ("offsets", [0, 1, 4]),
+            ("offsets", [0.0, 1.0, 4.0, 5.0]),
+            ("doc_count", 4),  # three doc_lengths for an index of four documents
         ],
     )
     def test_bad_field_values_rejected(self, key, value):
@@ -276,60 +333,198 @@ class TestFromPostingsValidation:
 
 
 class TestLoadValidation:
-    def _write(self, path, payload):
-        write_container(path, MAGIC_INDEX, dump_json(payload))
-        return path
+    """Malformed format-2 index files. Each case edits a good file and
+    writes it back with its checksum brought up to date, so the check
+    under test is the one that fires."""
 
-    def _payload(self, fixture_index, tmp_path):
+    def _parts(self, fixture_index, tmp_path):
         path = tmp_path / "good.bin"
         fixture_index.save(path)
-        return load_json(read_container(path, MAGIC_INDEX), path)
+        return index_arrays(path)
 
-    def test_missing_postings_key(self, tmp_path):
-        path = self._write(tmp_path / "i.bin", {"fields": {"title": {}}, "documents": []})
-        with pytest.raises(DataFormatError):
-            CorpusIndex.load(path)
+    def _header(self, fixture_index, tmp_path):
+        path = tmp_path / "good.bin"
+        fixture_index.save(path)
+        return index_header(path)
+
+    def _load(self, tmp_path, header, arrays):
+        path = tmp_path / "i.bin"
+        write_index_arrays(path, header, arrays)
+        return CorpusIndex.load(path)
+
+    def _load_raw(self, tmp_path, header, blob):
+        path = tmp_path / "i.bin"
+        write_index_raw(path, header, blob)
+        return CorpusIndex.load(path)
+
+    def test_missing_postings_key(self, fixture_index, tmp_path):
+        header, arrays = self._parts(fixture_index, tmp_path)
+        for column in ("offsets", "doc_ids", "tfs"):
+            del arrays[f"title.{column}"]
+        with pytest.raises(DataFormatError, match="'title.offsets'"):
+            self._load(tmp_path, header, arrays)
 
     @pytest.mark.parametrize("name", FIELD_NAMES)
     def test_missing_field(self, fixture_index, tmp_path, name):
-        payload = self._payload(fixture_index, tmp_path)
-        del payload["fields"][name]
+        header, arrays = self._parts(fixture_index, tmp_path)
+        del header["terms"][name]
         with pytest.raises(DataFormatError, match=name):
-            CorpusIndex.load(self._write(tmp_path / "i.bin", payload))
+            self._load(tmp_path, header, arrays)
 
-    @pytest.mark.parametrize("key", ["postings", "doc_lengths", "avg_doc_length", "doc_count"])
+    @pytest.mark.parametrize("key", ["offsets", "doc_ids", "tfs", "doc_lengths"])
     def test_missing_field_key(self, fixture_index, tmp_path, key):
-        payload = self._payload(fixture_index, tmp_path)
-        del payload["fields"]["all_text"][key]
+        header, arrays = self._parts(fixture_index, tmp_path)
+        del arrays[f"all_text.{key}"]
         with pytest.raises(DataFormatError, match=key):
-            CorpusIndex.load(self._write(tmp_path / "i.bin", payload))
+            self._load(tmp_path, header, arrays)
 
     def test_bad_posting_names_file_and_field(self, fixture_index, tmp_path):
-        payload = self._payload(fixture_index, tmp_path)
-        postings = payload["fields"]["referred_by"]["postings"]
-        term = sorted(postings)[0]
-        postings[term] = [[10**6, 1]]
-        path = self._write(tmp_path / "i.bin", payload)
+        header, arrays = self._parts(fixture_index, tmp_path)
+        arrays["referred_by.doc_ids"][0] = 10**6
         with pytest.raises(DataFormatError, match=r"i\.bin: field 'referred_by'"):
-            CorpusIndex.load(path)
+            self._load(tmp_path, header, arrays)
 
     def test_doc_count_must_match_documents(self, fixture_index, tmp_path):
-        payload = self._payload(fixture_index, tmp_path)
-        payload["documents"] = payload["documents"][:-1]
+        header, arrays = self._parts(fixture_index, tmp_path)
+        header["titles"].pop()
+        header["referred_by"].pop()
         with pytest.raises(DataFormatError, match="documents"):
-            CorpusIndex.load(self._write(tmp_path / "i.bin", payload))
+            self._load(tmp_path, header, arrays)
 
     def test_malformed_document_record(self, fixture_index, tmp_path):
-        payload = self._payload(fixture_index, tmp_path)
-        del payload["documents"][0]["lead"]
-        with pytest.raises(DataFormatError, match="document"):
-            CorpusIndex.load(self._write(tmp_path / "i.bin", payload))
+        header, arrays = self._parts(fixture_index, tmp_path)
+        header["referred_by"][0] = "abc"
+        with pytest.raises(DataFormatError, match="document 0"):
+            self._load(tmp_path, header, arrays)
 
     def test_unknown_field(self, fixture_index, tmp_path):
-        payload = self._payload(fixture_index, tmp_path)
-        payload["fields"]["body"] = payload["fields"]["title"]
+        header, arrays = self._parts(fixture_index, tmp_path)
+        header["terms"]["body"] = header["terms"]["title"]
         with pytest.raises(DataFormatError, match="body"):
-            CorpusIndex.load(self._write(tmp_path / "i.bin", payload))
+            self._load(tmp_path, header, arrays)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("turkish", None, "turkish"),
+            ("titles", ["a", 5], "titles"),
+            ("titles", "abc", "titles"),
+            ("referred_by", [], "one list per document"),
+            ("terms", ["title"], "terms"),
+            ("arrays", "title.offsets", "arrays"),
+            ("arrays", [["title.offsets", "<i8"]], "arrays"),
+            ("extra", 1, "unexpected \\['extra'\\]"),
+        ],
+    )
+    def test_bad_header_value(self, fixture_index, tmp_path, key, value, message):
+        header, blob = self._header(fixture_index, tmp_path)
+        header[key] = value
+        with pytest.raises(DataFormatError, match=message):
+            self._load_raw(tmp_path, header, blob)
+
+    def _edit_raw_header(self, fixture_index, tmp_path, edit):
+        """The saved fixture index with `edit` applied to its header as
+        written, crc32 included."""
+        path = tmp_path / "i.bin"
+        fixture_index.save(path)
+        payload = read_container(path, MAGIC_INDEX)
+        sep = payload.index(b"\n")
+        header = load_json(payload[:sep], path)
+        edit(header)
+        write_container(path, MAGIC_INDEX, dump_json(header) + payload[sep:])
+        return path
+
+    def test_crc32_must_be_an_integer(self, fixture_index, tmp_path):
+        path = self._edit_raw_header(
+            fixture_index, tmp_path, lambda h: h.update(crc32=str(h["crc32"]))
+        )
+        with pytest.raises(DataFormatError, match="crc32"):
+            CorpusIndex.load(path)
+
+    @pytest.mark.parametrize(
+        "key", ["arrays", "crc32", "referred_by", "terms", "titles", "turkish"]
+    )
+    def test_missing_header_key(self, fixture_index, tmp_path, key):
+        path = self._edit_raw_header(fixture_index, tmp_path, lambda h: h.pop(key))
+        with pytest.raises(DataFormatError, match=f"missing \\['{key}'\\]"):
+            CorpusIndex.load(path)
+
+    def test_array_of_another_dtype(self, fixture_index, tmp_path):
+        header, arrays = self._parts(fixture_index, tmp_path)
+        header["arrays"][2][1] = "<f4"  # title.tfs
+        assert header["arrays"][2][0] == "title.tfs"
+        with pytest.raises(DataFormatError, match="layout"):
+            self._load(tmp_path, header, arrays)
+
+    @pytest.mark.parametrize(
+        "offsets", [[1, 1], [0, -1], [0, 10**9], [0, 5, 3], "drop-one"]
+    )
+    def test_bad_lead_offsets(self, fixture_index, tmp_path, offsets):
+        header, arrays = self._parts(fixture_index, tmp_path)
+        good = arrays["lead_offsets"]
+        if offsets == "drop-one":
+            arrays["lead_offsets"] = good[:-1]
+        else:
+            arrays["lead_offsets"] = good.copy()
+            arrays["lead_offsets"][: len(offsets)] = offsets
+        with pytest.raises(DataFormatError, match="lead_offsets"):
+            self._load(tmp_path, header, arrays)
+
+    def test_lead_not_utf8(self, fixture_index, tmp_path):
+        header, arrays = self._parts(fixture_index, tmp_path)
+        first = int(np.flatnonzero(np.diff(arrays["lead_offsets"]))[0])
+        arrays["leads"][arrays["lead_offsets"][first]] = 0xFF
+        with pytest.raises(DataFormatError, match=f"lead {first} is not valid UTF-8"):
+            self._load(tmp_path, header, arrays)
+
+    def test_checksum_catches_a_changed_byte(self, fixture_index, tmp_path):
+        path = tmp_path / "i.bin"
+        fixture_index.save(path)
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="checksum"):
+            CorpusIndex.load(path)
+
+    def test_trailing_bytes(self, fixture_index, tmp_path):
+        header, blob = self._header(fixture_index, tmp_path)
+        with pytest.raises(DataFormatError, match="8 trailing bytes"):
+            self._load_raw(tmp_path, header, blob + bytes(8))
+
+    def test_layout_longer_than_the_arrays(self, fixture_index, tmp_path):
+        header, blob = self._header(fixture_index, tmp_path)
+        header["arrays"][-1][2] += 1  # one more lead byte than there is
+        with pytest.raises(DataFormatError, match="truncated: array 'leads'"):
+            self._load_raw(tmp_path, header, blob)
+
+    def test_format_1_file_names_the_rebuild(self, fixture_index, fixture_documents, tmp_path):
+        path = tmp_path / "v1.bin"
+        save_index_v1(path, fixture_documents, fixture_index.fields)
+        with pytest.raises(DataFormatError, match="version 1.*`linkrush index`"):
+            CorpusIndex.load(path)
+
+
+class TestFormat2MatchesFormat1:
+    def test_fixture(self, fixture_documents, fixture_index, tmp_path):
+        assert_v2_loads_as_v1(fixture_documents, fixture_index, tmp_path)
+
+    def test_zipfian_corpus_with_shared_and_repeated_phrases(self, tmp_path):
+        rng = np.random.default_rng(18)
+        vocab, _, token_docs = _zipf_corpus(rng, 300)
+        docs = [
+            IndexedDocument(
+                i, " ".join(tokens[:2]), (" ".join(tokens[:2]), tokens[0], tokens[0]),
+                (" ".join(tokens[-2:]),), " ".join(tokens), " ".join(tokens[:5]) + " ünïcödé",
+            )
+            for i, tokens in enumerate(token_docs)
+        ]
+        assert_v2_loads_as_v1(docs, CorpusIndex.build(docs, turkish=True), tmp_path)
+
+    def test_save_of_a_loaded_index_is_the_same_file(self, fixture_index, tmp_path):
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        fixture_index.save(first)
+        CorpusIndex.load(first).save(second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestFieldTokens:
@@ -389,9 +584,8 @@ class TestCorpusIndexBundle:
                 assert loaded.search_field(name, terms, 50).ranked() == (
                     fixture_index.search_field(name, terms, 50).ranked()
                 )
-        assert [d.title for d in loaded.documents] == [
-            d.title for d in fixture_index.documents
-        ]
+        assert loaded.titles == fixture_index.titles
+        assert loaded.leads == fixture_index.leads
 
     def test_save_is_deterministic(self, fixture_index, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"

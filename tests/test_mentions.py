@@ -34,21 +34,23 @@ def _mention(start, end, score=1.0, doc_id=0):
     return Mention(start, end, tuple(f"t{i}" for i in range(start, end)), doc_id, score)
 
 
+TINY_DOCS = [
+    IndexedDocument(0, "red gate", ("the red gate", "red gate"), (), "red gate", ""),
+    IndexedDocument(1, "gate", ("gate",), (), "gate", ""),
+    IndexedDocument(2, "red", ("red",), (), "red", ""),
+]
+
+
 @pytest.fixture(scope="module")
 def tiny_index():
-    docs = [
-        IndexedDocument(0, "red gate", ("the red gate", "red gate"), (), "red gate", ""),
-        IndexedDocument(1, "gate", ("gate",), (), "gate", ""),
-        IndexedDocument(2, "red", ("red",), (), "red", ""),
-    ]
-    return CorpusIndex.build(docs)
+    return CorpusIndex.build(TINY_DOCS)
 
 
 class TestFindMatches:
     def test_reports_all_occurrences_and_overlaps(self, tiny_index):
         tokens = ["the", "red", "gate", "and", "red", "gate"]
         pool = retrieve_pooled(tokens, tiny_index, 10)
-        matches = oracle_find_matches(tokens, pool, tiny_index.documents)
+        matches = oracle_find_matches(tokens, pool, TINY_DOCS)
         spans = {(m.start, m.end, m.doc_id) for m in matches}
         assert (0, 3, 0) in spans  # the red gate
         assert (1, 3, 0) in spans  # red gate (first)
@@ -59,7 +61,7 @@ class TestFindMatches:
     def test_matches_carry_pool_scores(self, tiny_index):
         tokens = ["red", "gate"]
         pool = retrieve_pooled(tokens, tiny_index, 10)
-        for m in oracle_find_matches(tokens, pool, tiny_index.documents):
+        for m in oracle_find_matches(tokens, pool, TINY_DOCS):
             assert m.pooled_score == pool.score_of(m.doc_id)
 
     def test_equals_naive_oracle_on_random_sentences(self, tiny_index):
@@ -68,12 +70,12 @@ class TestFindMatches:
         for _ in range(200):
             tokens = [words[int(i)] for i in rng.integers(0, len(words), size=int(rng.integers(1, 10)))]
             pool = retrieve_pooled(tokens, tiny_index, 10)
-            got = {(m.start, m.end, m.doc_id) for m in oracle_find_matches(tokens, pool, tiny_index.documents)}
-            assert got == naive_matches(tokens, pool, tiny_index.documents)
+            got = {(m.start, m.end, m.doc_id) for m in oracle_find_matches(tokens, pool, TINY_DOCS)}
+            assert got == naive_matches(tokens, pool, TINY_DOCS)
 
     def test_empty_pool_no_matches(self, tiny_index):
         pool = retrieve_pooled(["zzz"], tiny_index, 10)
-        assert oracle_find_matches(["zzz"], pool, tiny_index.documents) == []
+        assert oracle_find_matches(["zzz"], pool, TINY_DOCS) == []
 
 
 class TestResolveOverlaps:
@@ -142,20 +144,20 @@ class TestLinkSentence:
     def test_longer_product_name_beats_maker(self, fixture_index):
         tokens = ["the", "nokia", "2010", "sold", "well", "in", "stores"]
         mentions = link_sentence(tokens, fixture_index, 200)
-        spans = {(m.start, m.end): fixture_index.documents[m.doc_id].title for m in mentions}
+        spans = {(m.start, m.end): fixture_index.titles[m.doc_id] for m in mentions}
         assert spans[(1, 3)] == "nokia 2010"
         assert (1, 2) not in spans  # the bare company match lost the overlap
 
     def test_sibling_products_do_not_collide(self, fixture_index):
         tokens = ["the", "nokia", "2110", "added", "text", "messaging"]
         mentions = link_sentence(tokens, fixture_index, 200)
-        spans = {(m.start, m.end): fixture_index.documents[m.doc_id].title for m in mentions}
+        spans = {(m.start, m.end): fixture_index.titles[m.doc_id] for m in mentions}
         assert spans[(1, 3)] == "nokia 2110"
 
     def test_multi_mention_sentence(self, fixture_index):
         tokens = ["houston", "released", "i'm", "your", "baby", "tonight"]
         mentions = link_sentence(tokens, fixture_index, 200)
-        spans = {(m.start, m.end): fixture_index.documents[m.doc_id].title for m in mentions}
+        spans = {(m.start, m.end): fixture_index.titles[m.doc_id] for m in mentions}
         assert spans[(0, 1)] == "whitney houston"
         assert spans[(2, 6)] == "i'm your baby tonight"
 
@@ -167,7 +169,9 @@ class TestLinkSentence:
             for a, b in zip(mentions, mentions[1:]):
                 assert a.end <= b.start
 
-    def test_pooled_matches_superset_of_single_field(self, fixture_index, gold_sentences):
+    def test_pooled_matches_superset_of_single_field(
+        self, fixture_index, fixture_documents, gold_sentences
+    ):
         # Candidate spans found with all four fields pooled must include
         # every span found through any single field alone.
         for sentence in gold_sentences[:8]:
@@ -175,13 +179,13 @@ class TestLinkSentence:
             pooled = retrieve_pooled(tokens, fixture_index, 200)
             pooled_spans = {
                 (m.start, m.end, m.doc_id)
-                for m in oracle_find_matches(tokens, pooled, fixture_index.documents)
+                for m in oracle_find_matches(tokens, pooled, fixture_documents)
             }
             for name in FIELD_NAMES:
                 single = retrieve_pooled(tokens, fixture_index, 200, fields=(name,))
                 single_spans = {
                     (m.start, m.end, m.doc_id)
-                    for m in oracle_find_matches(tokens, single, fixture_index.documents)
+                    for m in oracle_find_matches(tokens, single, fixture_documents)
                 }
                 assert single_spans <= pooled_spans
 
@@ -212,7 +216,8 @@ def _zipf_world(rng, n_docs):
                     len(docs), title, tuple(anchors), interwikies, f"{title}\n{body}", body
                 )
             )
-    return CorpusIndex.build(docs[:n_docs]), vocab, p, phrases
+    docs = docs[:n_docs]
+    return CorpusIndex.build(docs), docs, vocab, p, phrases
 
 
 def _sentence(rng, vocab, p, phrases):
@@ -227,41 +232,39 @@ class TestAnchorFirstMatchesOracle:
     """`link_sentence` against the pool-first oracle, `==` on mention
     lists, pooled-score floats included."""
 
-    def _check(self, tokens, index, k, fields=FIELD_NAMES):
+    def _check(self, tokens, index, docs, k, fields=FIELD_NAMES):
         got = link_sentence(tokens, index, k, fields=fields)
-        assert got == oracle_link_sentence(tokens, index, k, fields=fields)
+        assert got == oracle_link_sentence(tokens, index, docs, k, fields=fields)
         assert all(type(m.pooled_score) is float and type(m.doc_id) is int for m in got)
         hits = index.anchors.lookup(tokens)
         if hits:
             pool = retrieve_masks(tokens, index, k, fields=fields)
             oracle_pool = retrieve_pooled(tokens, index, k, fields=fields)
-            assert find_matches(hits, pool) == oracle_find_matches(
-                tokens, oracle_pool, index.documents
-            )
+            assert find_matches(hits, pool) == oracle_find_matches(tokens, oracle_pool, docs)
         return got
 
     def test_seeded_zipfian_corpora(self):
         rng = np.random.default_rng(16)
         straddling = no_hit = shared = linked = 0
         for _ in range(3):
-            index, vocab, p, phrases = _zipf_world(rng, int(rng.integers(200, 300)))
+            index, docs, vocab, p, phrases = _zipf_world(rng, int(rng.integers(200, 300)))
             for _ in range(25):
                 tokens = _sentence(rng, vocab, p, phrases)
                 hits = index.anchors.lookup(tokens)
                 no_hit += not hits
                 shared += any(len(set(doc_ids)) > 1 for *_, doc_ids in hits)
-                ks = {1, 3, 50, len(index.documents) + 1}
+                ks = {1, 3, 50, len(index.titles) + 1}
                 for name in FIELD_NAMES:
-                    ranked = index.search_field(name, tokens, len(index.documents)).ranked()
+                    ranked = index.search_field(name, tokens, len(index.titles)).ranked()
                     # Cut inside a run of tied scores, so ties straddle the k-th rank.
                     cuts = [i for i in range(1, len(ranked)) if ranked[i - 1][1] == ranked[i][1]]
                     if cuts:
                         ks.add(cuts[int(rng.integers(0, len(cuts)))])
                         straddling += 1
                 for k in sorted(ks):
-                    linked += bool(self._check(tokens, index, k))
+                    linked += bool(self._check(tokens, index, docs, k))
                     for name in FIELD_NAMES:
-                        self._check(tokens, index, k, (name,))
+                        self._check(tokens, index, docs, k, (name,))
         assert straddling > 50 and no_hit > 3 and shared > 20 and linked > 100
 
     def test_phrase_listed_twice_and_shared(self):
@@ -276,7 +279,7 @@ class TestAnchorFirstMatchesOracle:
         tokens = ["the", "red", "gate", "and", "gate"]
         for k in (1, 2, 3, 10):
             for fields in [FIELD_NAMES] + [(name,) for name in FIELD_NAMES]:
-                self._check(tokens, index, k, fields)
+                self._check(tokens, index, docs, k, fields)
         pool = retrieve_masks(tokens, index, 10)
         raw = find_matches(index.anchors.lookup(tokens), pool)
         assert [(m.start, m.doc_id) for m in raw if m.length == 2].count((1, 0)) == 2
@@ -296,12 +299,12 @@ class TestAnchorFirstMatchesOracle:
             with pytest.raises(ValueError):
                 link_sentence(tokens, fixture_index, 0)
 
-    def test_fixture_sentences(self, fixture_index, gold_sentences):
+    def test_fixture_sentences(self, fixture_index, fixture_documents, gold_sentences):
         for sentence in gold_sentences:
             tokens = [t.lower() for t in sentence.tokens]
             for k in (1, 5, 200):
                 for fields in [FIELD_NAMES] + [(name,) for name in FIELD_NAMES]:
-                    self._check(tokens, fixture_index, k, fields)
+                    self._check(tokens, fixture_index, fixture_documents, k, fields)
 
 
 class TestMentionRecall:

@@ -119,7 +119,7 @@ def _masks_match_oracle(tokens, index, k, fields=FIELD_NAMES):
         score = masks.pooled_score(candidate.doc_id)
         assert type(score) is float and score == candidate.pooled_score
     pooled = set(masks.candidates.tolist())
-    for doc_id in range(len(index.documents)):
+    for doc_id in range(len(index.titles)):
         if doc_id not in pooled:
             assert masks.pooled_score(doc_id) is None
 
