@@ -50,7 +50,7 @@ from .evaluation import (
 from .index import CorpusIndex, load_corpus, save_corpus
 from .mentions import Mention, find_matches, link_sentence, resolve_overlaps
 from .representation import Representation, Segment, build_representation
-from .retrieval import PoolMasks, pool_stats, retrieve_pooled
+from .retrieval import Pool, pool_stats, retrieve_pooled
 from .tokenizer import normalize_phrase, normalize_token, tokenize
 
 __all__ = [
@@ -64,7 +64,7 @@ __all__ = [
     "Mention",
     "MentionClassifier",
     "PipelineError",
-    "PoolMasks",
+    "Pool",
     "Representation",
     "Route",
     "RouterConfig",

@@ -16,6 +16,7 @@ the reader validates every header field before it touches the weights.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataFormatError
-from .representation import Representation
+from .representation import Representation, Segment
 from .storage import (
     MAGIC_MODEL,
     dump_json,
@@ -79,9 +80,22 @@ class SparseVector:
         return len(self.indices)
 
 
+# A feature's key is its parts joined by U+001F; its 64-bit hash is the
+# 8-byte blake2b digest of the key's UTF-8, read little-endian.
+_KEY_SEP = "\x1f"
+_blake2b_64 = functools.partial(hashlib.blake2b, digest_size=8)
+
+
+def _feature_digests(keys: Sequence[str]) -> np.ndarray:
+    """The 64-bit hash of each feature key."""
+    digests = [_blake2b_64(key.encode("utf-8")).digest() for key in keys]
+    return np.frombuffer(b"".join(digests), dtype="<u8")
+
+
 def hash_feature(parts: tuple[str, ...], feature_dim: int) -> int:
-    """Stable feature hashing; feature_dim must be a power of two."""
-    digest = hashlib.blake2b("\x1f".join(parts).encode("utf-8"), digest_size=8).digest()
+    """Stable feature hashing: the low bits of the feature's 64-bit
+    hash; feature_dim must be a power of two."""
+    digest = _blake2b_64(_KEY_SEP.join(parts).encode("utf-8")).digest()
     return int.from_bytes(digest, "little") & (feature_dim - 1)
 
 
@@ -91,32 +105,72 @@ def sparse_from_counts(counts: dict[int, float]) -> SparseVector:
         return SparseVector(np.zeros(0, dtype=np.int64), np.zeros(0))
     indices = np.array(sorted(counts), dtype=np.int64)
     values = np.array([counts[i] for i in indices], dtype=np.float64)
+    return SparseVector(indices, _normalized(values))
+
+
+def _normalized(values: np.ndarray) -> np.ndarray:
+    """values over their L2 norm (a zero vector stays zero)."""
     norm = math.sqrt(float(values @ values))
-    if norm > 0.0:
-        values = values / norm
-    return SparseVector(indices, values)
+    return values / norm if norm > 0.0 else values
+
+
+# Distinct WIKI runs whose feature hashes featurize keeps. A lead is the same
+# for every mention linked to its document, so its run recurs; the other
+# segments' runs are a few tokens of one sentence and are hashed afresh.
+# An entry holds the run's tokens and 8 bytes per feature (two per token).
+WIKI_DIGEST_MEMO_SIZE = 2048
+
+
+def _run_keys(segment: str, run: Sequence[str]) -> list[str]:
+    """The keys of a run's (segment, token) and (segment, left, right)
+    features."""
+    prefix = segment + _KEY_SEP
+    return [prefix + token for token in run] + [
+        prefix + left + _KEY_SEP + right for left, right in zip(run, run[1:])
+    ]
+
+
+@functools.lru_cache(maxsize=WIKI_DIGEST_MEMO_SIZE)
+def _wiki_digests(run: tuple[str, ...]) -> np.ndarray:
+    """The 64-bit hashes of a WIKI run's features, read-only, as every
+    caller shares them."""
+    digests = _feature_digests(_run_keys(Segment.WIKI.value, run))
+    digests.flags.writeable = False
+    return digests
 
 
 def featurize(rep: Representation, feature_dim: int = DEFAULT_FEATURE_DIM) -> SparseVector:
-    """Hashed counts of (segment, token) and (segment, token-bigram) pairs."""
+    """Hashed counts of (segment, token) and (segment, token-bigram) pairs
+    within each run of one segment, L2-normalized.
+
+    Each feature's 64-bit hash is masked to `feature_dim` bits, the
+    masked values are counted with `np.unique`, and the counts are
+    normalized as `sparse_from_counts` does, so the vector equals
+    `sparse_from_counts` over `hash_feature` counts bit for bit. The
+    hashes of a WIKI run (a lead, or its prefix when the budget cut it)
+    come from a memo keyed by the run's tokens and bounded at
+    WIKI_DIGEST_MEMO_SIZE runs, least recently used first out.
+    """
     _check_dim(feature_dim)
-    counts: dict[int, float] = {}
-    pos = 0
-    n = len(rep.tokens)
+    keys: list[str] = []  # of the runs outside WIKI
+    digests: list[np.ndarray] = []
+    tokens, segments = rep.tokens, rep.segments
+    pos, n = 0, len(tokens)
     while pos < n:
-        segment = rep.segments[pos]
+        segment = segments[pos]
         run_end = pos
-        while run_end < n and rep.segments[run_end] is segment:
+        while run_end < n and segments[run_end] is segment:
             run_end += 1
-        run = rep.tokens[pos:run_end]
-        for token in run:
-            idx = hash_feature((segment.value, token), feature_dim)
-            counts[idx] = counts.get(idx, 0.0) + 1.0
-        for left, right in zip(run, run[1:]):
-            idx = hash_feature((segment.value, left, right), feature_dim)
-            counts[idx] = counts.get(idx, 0.0) + 1.0
+        if segment is Segment.WIKI:
+            digests.append(_wiki_digests(tokens[pos:run_end]))
+        else:
+            keys += _run_keys(segment.value, tokens[pos:run_end])
         pos = run_end
-    return sparse_from_counts(counts)
+    digests.append(_feature_digests(keys))
+    indices, counts = np.unique(
+        np.concatenate(digests) & np.uint64(feature_dim - 1), return_counts=True
+    )
+    return SparseVector(indices.astype(np.int64), _normalized(counts.astype(np.float64)))
 
 
 def _check_dim(feature_dim: int) -> None:

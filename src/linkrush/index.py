@@ -11,6 +11,12 @@ so a query is one weighted `np.bincount` over the rows of its terms
 (Anh & Moffat, "Pruned query evaluation using pre-computed impacts",
 2006).
 
+A search returns every document's score; nothing is ranked. Linking
+asks only whether a few documents are in a field's top-k (score
+descending, doc_id ascending on ties), and `top_k_members` answers that
+from the score vector: a document of score s > 0 is in exactly when
+fewer than k documents score above s or score s at a lower doc_id.
+
 A built or loaded index holds only what linking and tagging read: each
 document's title and lead, the four fields, and the anchor table (every
 referred_by phrase mapped to the documents that list it), which linking
@@ -272,62 +278,62 @@ def build_index(
     }
 
 
-@dataclass(frozen=True)
-class FieldTopK:
-    """One field's answer to an OR query, kept as columns.
-
-    scores holds every document's score (0.0 where no query term occurs);
-    top holds the k best document positions, score descending and
-    position ascending on ties.
-    """
-
-    scores: np.ndarray  # float64, one per document
-    top: np.ndarray  # int64
-
-    def ranked(self) -> list[tuple[int, float]]:
-        """The top-k as (doc_id, score) pairs of Python scalars."""
-        return list(zip(self.top.tolist(), self.scores[self.top].tolist()))
-
-    def mask(self) -> np.ndarray:
-        """A bool per document: is it in the top-k?"""
-        in_top = np.zeros(len(self.scores), dtype=bool)
-        in_top[self.top] = True
-        return in_top
-
-
-def field_top_k(field_index: FieldIndex, query_terms: Sequence[str], k: int) -> FieldTopK:
-    """Every document's score for an OR query of distinct terms, and
-    the exact top-k.
+def field_scores(field_index: FieldIndex, query_terms: Sequence[str]) -> np.ndarray:
+    """Every document's score for an OR query of distinct terms, 0.0
+    where no query term occurs.
 
     Each document's impacts are added in query-term order, as a
     posting-at-a-time loop would add them, so scores are bit-identical
     to such a loop. Every impact is positive: a score is nonzero exactly
     when the document holds a query term.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     rows = [
         field_index.term_rows[term]
         for term in _distinct(query_terms)
         if term in field_index.term_rows
     ]
     if not rows:
-        return FieldTopK(np.zeros(field_index.doc_count), np.zeros(0, dtype=np.int64))
+        return np.zeros(field_index.doc_count)
     offsets = field_index.offsets
     spans = [slice(offsets[row], offsets[row + 1]) for row in rows]
-    scores = np.bincount(
+    return np.bincount(
         np.concatenate([field_index.doc_ids[span] for span in spans]),
         weights=np.concatenate([field_index.impacts[span] for span in spans]),
         minlength=field_index.doc_count,
     )
-    hits = np.flatnonzero(scores)
-    hit_scores = scores[hits]
-    if len(hits) > k:
-        # Keep every document tied with the k-th score; the sort decides.
-        kth = np.partition(hit_scores, len(hits) - k)[len(hits) - k]
-        keep = hit_scores >= kth
-        hits, hit_scores = hits[keep], hit_scores[keep]
-    return FieldTopK(scores, hits[np.lexsort((hits, -hit_scores))[:k]])
+
+
+def top_k_members(scores: np.ndarray, docs: np.ndarray, k: int) -> np.ndarray:
+    """A bool per entry of `docs` (document positions, repeats allowed):
+    is that document in the exact top-k of `scores`?
+
+    The top-k ranks the documents of positive score by score, highest
+    first, then by position, lowest first, and keeps the first k. So a
+    document of score s > 0 is in it exactly when fewer than k documents
+    score above s or score s at a lower position; a document of score 0
+    never is. Nothing is ranked. When at most k documents score at least
+    the lowest positive score among `docs`, every positive one is in.
+    Otherwise the k-th highest score, selected from those documents,
+    decides: above it a document is in, and of the documents tied at it
+    the first k - (the number above it) by position are in.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    docs = np.asarray(docs, dtype=np.int64)
+    hit = scores[docs]
+    member = hit > 0.0
+    if not member.any():
+        return member
+    contenders = scores >= hit[member].min()
+    if np.count_nonzero(contenders) <= k:
+        return member
+    # More than k contenders: the top-k lies among them.
+    top = np.flatnonzero(contenders)
+    top_scores = scores[top]
+    kth = np.partition(top_scores, -k)[-k]
+    above = np.count_nonzero(top_scores > kth)
+    last_tie = top[top_scores == kth][k - above - 1]
+    return (hit > kth) | ((hit == kth) & (docs <= last_tie))
 
 
 def _distinct(terms: Iterable[str]) -> list[str]:
@@ -407,8 +413,9 @@ class CorpusIndex:
             turkish=turkish,
         )
 
-    def search_field(self, field_name: str, query_terms: Sequence[str], k: int) -> FieldTopK:
-        return field_top_k(self.fields[field_name], query_terms, k)
+    def search_field(self, field_name: str, query_terms: Sequence[str]) -> np.ndarray:
+        """Every document's score in one field for an OR query."""
+        return field_scores(self.fields[field_name], query_terms)
 
     def save(self, path: str | Path) -> None:
         terms, columns = {}, []

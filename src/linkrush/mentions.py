@@ -3,9 +3,12 @@
 A mention is a sentence span that equals an anchor phrase of a document
 in the sentence's candidate pool. Linking looks the sentence's spans up
 in the index's anchor table first and retrieves only when one matches;
-each hit then keeps the documents the pool holds. Overlapping matches
-are resolved greedily, longest span first, with the pooled relevance
-score breaking length ties.
+each hit then keeps the documents the pool holds. The pool is asked
+once per sentence, for all hit documents together, which of them some
+field's top-k holds and with what pooled score (`Pool.pooled_scores`,
+by top-k membership; nothing is ranked). Overlapping matches are
+resolved greedily, longest span first, with the pooled relevance score
+breaking length ties.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .index import FIELD_NAMES, CorpusIndex, Hit
-from .retrieval import DEFAULT_K, PoolMasks, retrieve_pooled
+from .retrieval import DEFAULT_K, Pool, retrieve_pooled
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,7 @@ class Mention:
         return self.end - self.start
 
 
-def find_matches(hits: Sequence[Hit], pool: PoolMasks) -> list[Mention]:
+def find_matches(hits: Sequence[Hit], pool: Pool) -> list[Mention]:
     """Every (span, document) pair of the anchor hits whose document is
     pooled, by start, then length, then pooled score descending and
     doc_id ascending.
@@ -43,12 +46,12 @@ def find_matches(hits: Sequence[Hit], pool: PoolMasks) -> list[Mention]:
     All occurrences are reported, overlaps included; resolution happens in
     resolve_overlaps.
     """
+    docs = [doc_id for *_, doc_ids in hits for doc_id in doc_ids]
+    scores = dict(zip(docs, pool.pooled_scores(docs)))
     matches: list[Mention] = []
     for start, end, surface, doc_ids in hits:
         pooled = [
-            (score, doc_id)
-            for doc_id in doc_ids
-            if (score := pool.pooled_score(doc_id)) is not None
+            (score, doc_id) for doc_id in doc_ids if (score := scores[doc_id]) is not None
         ]
         pooled.sort(key=lambda pair: (-pair[0], pair[1]))
         matches.extend(Mention(start, end, surface, doc_id, score) for score, doc_id in pooled)

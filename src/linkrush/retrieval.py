@@ -1,11 +1,16 @@
 """Pooled candidate retrieval: one OR query per sentence against each field.
 
-Each field answers with every document's BM25 score and a mask of its
-exact top-k; the pool is the union of the masks. A pooled document's
-score is the sum of its scores over the fields whose top-k holds it,
-added in field order. Nothing is built per pooled document: anchor
+Each field answers with every document's BM25 score; a document is in
+the field's result when it is in the field's exact top-k (score
+descending, position ascending on ties), and the pool is the union of
+the results. A pooled document's score is the sum of its scores over
+the fields whose top-k holds it, added in field order.
+
+Nothing is ranked and nothing is built per pooled document: anchor
 matching asks the pool only about the few documents whose anchors occur
-in the sentence.
+in the sentence, and `index.top_k_members` answers for those alone. A
+document of score s > 0 is in a field's top-k exactly when fewer than k
+documents score above s or score s at a lower position.
 """
 
 from __future__ import annotations
@@ -15,38 +20,47 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .index import FIELD_NAMES, CorpusIndex
+from .index import FIELD_NAMES, CorpusIndex, top_k_members
 
 DEFAULT_K = 200
 
 
 @dataclass(frozen=True)
-class PoolMasks:
-    """One sentence's pooled retrieval, as per-field columns in field order."""
+class Pool:
+    """One sentence's pooled retrieval: each field's score vector, in
+    field order, and the k of every field's top-k."""
 
     scores: dict[str, np.ndarray]  # field -> float64 score per document
-    masks: dict[str, np.ndarray]  # field -> bool per document, its top-k
+    k: int
 
     @property
     def per_field_counts(self) -> dict[str, int]:
-        return {name: int(np.count_nonzero(mask)) for name, mask in self.masks.items()}
+        """The size of each field's top-k."""
+        return {name: min(self.k, int(np.count_nonzero(s))) for name, s in self.scores.items()}
 
     @property
     def candidates(self) -> np.ndarray:
-        """The pooled document positions, ascending."""
-        if not self.masks:
-            return np.zeros(0, dtype=np.int64)
-        return np.flatnonzero(np.logical_or.reduce(list(self.masks.values())))
+        """The pooled document positions, ascending: every document of
+        positive score that some field's top-k holds."""
+        pooled = np.zeros(0, dtype=np.int64)
+        for scores in self.scores.values():
+            hits = np.flatnonzero(scores)
+            pooled = np.union1d(pooled, hits[top_k_members(scores, hits, self.k)])
+        return pooled
 
-    def pooled_score(self, doc_id: int) -> float | None:
-        """The sum of the document's scores over the fields whose top-k
+    def pooled_scores(self, doc_ids: Sequence[int]) -> list[float | None]:
+        """Per document, the sum of its scores over the fields whose top-k
         holds it, added in field order; None outside the pool."""
-        total, pooled = 0, False
-        for name, mask in self.masks.items():
-            if mask[doc_id]:
-                total += self.scores[name].item(doc_id)
-                pooled = True
-        return total if pooled else None
+        docs = np.asarray(doc_ids, dtype=np.int64)
+        total = np.zeros(len(docs))
+        pooled = np.zeros(len(docs), dtype=bool)
+        for scores in self.scores.values():
+            member = top_k_members(scores, docs, self.k)
+            # Adding 0.0 leaves a float as it is, so this is the sum of
+            # the member scores alone, in field order.
+            total += np.where(member, scores[docs], 0.0)
+            pooled |= member
+        return [score if kept else None for score, kept in zip(total.tolist(), pooled.tolist())]
 
 
 def retrieve_pooled(
@@ -55,7 +69,7 @@ def retrieve_pooled(
     k: int = DEFAULT_K,
     *,
     fields: tuple[str, ...] = FIELD_NAMES,
-) -> PoolMasks:
+) -> Pool:
     """Run the sentence as an OR query per field, in the given order.
 
     The pool may be empty when no document shares a token with the
@@ -63,13 +77,7 @@ def retrieve_pooled(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores: dict[str, np.ndarray] = {}
-    masks: dict[str, np.ndarray] = {}
-    for name in fields:
-        result = index.search_field(name, sentence_tokens, k)
-        scores[name] = result.scores
-        masks[name] = result.mask()
-    return PoolMasks(scores=scores, masks=masks)
+    return Pool({name: index.search_field(name, sentence_tokens) for name in fields}, k)
 
 
 @dataclass
@@ -90,7 +98,7 @@ class PoolStats:
         }
 
 
-def pool_stats(pools: Iterable[PoolMasks]) -> PoolStats:
+def pool_stats(pools: Iterable[Pool]) -> PoolStats:
     """Mean pool size, mean per-field result count, and empty-pool count.
 
     Each pool is read once and dropped, so a long input never holds more

@@ -6,11 +6,20 @@ each posting's idf * tf part one at a time, in query-term order, with
 the idf and the length normalisation recomputed per posting. The
 columnar index must return exactly the same floats.
 
+Top-k: the ranking that top-k membership replaced. Each field's top-k
+is found and sorted (score descending, doc_id ascending on ties), then
+kept as a mask over the documents. `index.top_k_members` must say of
+every document exactly what the mask says.
+
 Linking: the pool-first linker that anchor-first linking replaced. It
 builds one `PooledCandidate` per pooled document, then a phrase map from
 every pooled document's anchors, and matches the sentence against it.
 `link_sentence` must return exactly the same mentions, pooled-score
 floats included.
+
+Featurizing: the per-mention loop that hashes every feature of a
+representation with `hash_feature` and counts them in a dict.
+`featurize` must return exactly the same indices and value bytes.
 
 Tokenizing: the character loop that the one-regex tokenizer replaced.
 `tokenize` must return exactly the same tokens.
@@ -37,7 +46,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from linkrush.classifier import MentionClassifier, SparseVector, _example_gradients
+from linkrush.classifier import (
+    MentionClassifier,
+    SparseVector,
+    _check_dim,
+    _example_gradients,
+    hash_feature,
+    sparse_from_counts,
+)
 from linkrush.corpus import IndexedDocument
 from linkrush.index import (
     B,
@@ -48,7 +64,7 @@ from linkrush.index import (
     FieldIndex,
     _doc_to_json,
     _docs_from_json,
-    field_top_k,
+    field_scores,
 )
 from linkrush.mentions import Mention, resolve_overlaps
 from linkrush.representation import Representation, Segment
@@ -91,12 +107,60 @@ def _split_chunk(chunk: str) -> list[str]:
     return out
 
 
+def ranked_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The exact top-k of a score vector, ranked: the positions of
+    positive score, score descending and position ascending on ties,
+    the first k of them."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    hits = np.flatnonzero(scores)
+    hit_scores = scores[hits]
+    if len(hits) > k:
+        # Keep every document tied with the k-th score; the sort decides.
+        kth = np.partition(hit_scores, len(hits) - k)[len(hits) - k]
+        keep = hit_scores >= kth
+        hits, hit_scores = hits[keep], hit_scores[keep]
+    return hits[np.lexsort((hits, -hit_scores))[:k]]
+
+
+def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
+    """A bool per document: is it in the ranked top-k?"""
+    in_top = np.zeros(len(scores), dtype=bool)
+    in_top[ranked_top_k(scores, k)] = True
+    return in_top
+
+
 def search_tokens(
     field_index: FieldIndex, query_terms: Sequence[str], k: int
 ) -> list[tuple[int, float]]:
     """Top-k (doc_id, score) pairs for an OR query of distinct terms,
     score descending and doc_id ascending on ties."""
-    return field_top_k(field_index, query_terms, k).ranked()
+    scores = field_scores(field_index, query_terms)
+    top = ranked_top_k(scores, k)
+    return list(zip(top.tolist(), scores[top].tolist()))
+
+
+def oracle_featurize(rep: Representation, feature_dim: int) -> SparseVector:
+    """Hashed counts of (segment, token) and (segment, token-bigram) pairs
+    within each run of one segment, one `hash_feature` call per feature."""
+    _check_dim(feature_dim)
+    counts: dict[int, float] = {}
+    pos = 0
+    n = len(rep.tokens)
+    while pos < n:
+        segment = rep.segments[pos]
+        run_end = pos
+        while run_end < n and rep.segments[run_end] is segment:
+            run_end += 1
+        run = rep.tokens[pos:run_end]
+        for token in run:
+            idx = hash_feature((segment.value, token), feature_dim)
+            counts[idx] = counts.get(idx, 0.0) + 1.0
+        for left, right in zip(run, run[1:]):
+            idx = hash_feature((segment.value, left, right), feature_dim)
+            counts[idx] = counts.get(idx, 0.0) + 1.0
+        pos = run_end
+    return sparse_from_counts(counts)
 
 
 def segment_of(rep: Representation, position: int) -> Segment:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import batch_gradients, batch_loss
+from oracles import batch_gradients, batch_loss, oracle_featurize
 
 from linkrush.classifier import (
     ENTITY_TYPES,
@@ -17,8 +17,11 @@ from linkrush.classifier import (
     MentionClassifier,
     TrainExample,
     TrainingConfig,
+    WIKI_DIGEST_MEMO_SIZE,
+    _wiki_digests,
     decide,
     featurize,
+    hash_feature,
     forward,
     load_model,
     loss,
@@ -29,7 +32,8 @@ from linkrush.classifier import (
 )
 from linkrush.errors import DataFormatError
 from linkrush.mentions import Mention
-from linkrush.representation import build_representation
+from linkrush.representation import Representation, Segment, build_representation
+from linkrush.tokenizer import normalize_token
 
 DIM = 2**6  # small space keeps gradient loops cheap; collisions are fine
 
@@ -93,6 +97,89 @@ class TestFeaturize:
         rep = make_rep(["a"], 0, 1, "")
         with pytest.raises(ValueError):
             featurize(rep, 100)
+
+
+# Feature keys and their hashes, at 64 bits and at the default 2**18.
+# Saved models index their weights by these values: a change to any of
+# them (or to a Segment's string value) makes every saved model wrong.
+HASH_PINS = [
+    (("CLS", "[CLS]"), 2857469377363809864, 235080),
+    (("CTX_L", "the"), 2118519864010423175, 211847),
+    (("MENTION", "nokia"), 9974452447188207871, 116991),
+    (("CTX_R", "river"), 2076542076208431079, 147431),
+    (("WIKI", "company"), 12640123069685321502, 20254),
+    (("SEP", "[SEP]"), 5360444218687503275, 146347),
+    (("WIKI", "mobile", "phones"), 3941525753244179880, 23976),
+    (("w-3", "[EDGE]"), 8502421697107990300, 136988),
+    (("WIKI", "istanbul"), 11019767919271557053, 79805),
+    (("MENTION", "zürich"), 14968068078130680272, 250320),
+]
+
+
+class TestFeatureHashPins:
+    def test_segment_values(self):
+        assert {s.name: s.value for s in Segment} == {
+            "CLS": "CLS", "CTX_L": "CTX_L", "MENTION": "MENTION",
+            "CTX_R": "CTX_R", "WIKI": "WIKI", "SEP": "SEP",
+        }
+
+    def test_hash_feature_values(self):
+        assert normalize_token("İSTANBUL", turkish=True) == "istanbul"
+        for parts, full, default in HASH_PINS:
+            assert hash_feature(parts, 2**64) == full
+            assert hash_feature(parts, 2**18) == default == full & (2**18 - 1)
+
+
+def assert_same_vector(got, want):
+    assert got.indices.dtype == want.indices.dtype == np.int64
+    assert got.indices.tobytes() == want.indices.tobytes()
+    assert got.values.dtype == want.values.dtype == np.float64
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+class TestFeaturizeMatchesOracle:
+    """`featurize` (memoised WIKI digests, one `np.unique`) against the
+    per-feature `hash_feature` loop of `oracle_featurize`: the same
+    index and value bytes."""
+
+    def test_random_reps_and_dims(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            rep = random_rep(rng)
+            for dim in (2**3, DIM, 2**18):
+                assert_same_vector(featurize(rep, dim), oracle_featurize(rep, dim))
+
+    def test_edge_cases(self):
+        lead = "an old stone mill by the river , with a gate"
+        truncated = make_rep(["the", "mill", "stands"], 1, 2, lead, max_len=12)
+        assert 0 < truncated.segments.count(Segment.WIKI) < 11
+        empty_lead = make_rep(["the", "mill"], 1, 2, "")
+        no_wiki = Representation(
+            ("[CLS]", "the", "[SEP]", "mill", "[SEP]"),
+            (Segment.CLS, Segment.CTX_L, Segment.SEP, Segment.MENTION, Segment.SEP),
+            empty_lead.mention_ref,
+        )
+        nothing = Representation((), (), empty_lead.mention_ref)
+        for rep in (truncated, make_rep(["the", "mill"], 1, 2, lead), empty_lead, no_wiki, nothing):
+            for dim in (2**3, 2**18):
+                assert_same_vector(featurize(rep, dim), oracle_featurize(rep, dim))
+        assert Segment.WIKI not in empty_lead.segments
+
+    def test_memo_is_bounded_and_read_only(self):
+        _wiki_digests.cache_clear()
+        assert _wiki_digests.cache_info().maxsize == WIKI_DIGEST_MEMO_SIZE
+        first = make_rep(["a", "b"], 0, 1, "lead 0 words")
+        want = oracle_featurize(first, DIM)
+        for i in range(WIKI_DIGEST_MEMO_SIZE + 50):
+            featurize(make_rep(["a", "b"], 0, 1, f"lead {i} words"), DIM)
+            assert _wiki_digests.cache_info().currsize <= WIKI_DIGEST_MEMO_SIZE
+        assert _wiki_digests.cache_info().currsize == WIKI_DIGEST_MEMO_SIZE
+        # The first lead was evicted; hashing it again gives the same vector.
+        assert_same_vector(featurize(first, DIM), want)
+        digests = _wiki_digests(("lead", "0", "words"))
+        assert not digests.flags.writeable
+        with pytest.raises(ValueError):
+            digests[0] = 0
 
 
 class TestForward:

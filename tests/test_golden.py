@@ -19,6 +19,10 @@ format 2 (binary columns behind a JSON header); the format-1 bytes are
 still pinned as `FORMAT_1_INDEX`, through the format-1 writer kept as a
 test oracle, and a format-2 round trip must load what format 1 loads.
 
+On the same world, linking and featurizing are also compared with their
+oracles in `oracles.py` (the pool-first linker over ranked top-k lists,
+and the per-feature hashing loop), mention for mention and byte for byte.
+
 The gate path is not pinned: at 1000 articles the training sentences
 yield no non-entity candidates, and the binary head vetoes none of the
 246 mentions linked in the short stream.
@@ -33,20 +37,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import assert_v2_loads_as_v1, save_index_v1
+from oracles import assert_v2_loads_as_v1, oracle_featurize, oracle_link_sentence, save_index_v1
 
-from linkrush.classifier import TrainingConfig, load_model, save_model, train
+from linkrush.classifier import TrainingConfig, featurize, load_model, save_model, train
 from linkrush.corpus import ingest
 from linkrush.ensemble import (
     RouterConfig,
     build_training_examples,
     load_window_tagger,
+    mention_candidates,
     save_window_tagger,
     tag_sentences,
     train_baseline,
 )
 from linkrush.evaluation import format_conll, read_conll
 from linkrush.index import CorpusIndex
+from linkrush.mentions import link_sentence
+from linkrush.tokenizer import normalize_token
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -114,6 +121,7 @@ def golden_run(tmp_path_factory):
     return {
         "documents": documents,
         "built": built,
+        "short_stream": read_conll(short_dir / "stream.conll"),
         "index": _sha256(index_path.read_bytes()),
         "models": _sha256(model_path.read_bytes() + window_path.read_bytes()),
         **{name: _sha256(text.encode("utf-8")) for name, text in predictions.items()},
@@ -137,3 +145,35 @@ def test_format_1_oracle_and_format_2_agree(golden_run, tmp_path):
     save_index_v1(v1, documents, built.fields)
     assert _sha256(v1.read_bytes()) == FORMAT_1_INDEX
     assert_v2_loads_as_v1(documents, built, tmp_path)
+
+
+def test_linking_equals_pool_first_oracle(golden_run):
+    """Anchor-first linking with top-k membership finds the mentions of
+    the pool-first linker with ranked top-k lists, pooled-score floats
+    included, on every sentence of the short stream."""
+    index, documents = golden_run["built"], golden_run["documents"]
+    linked = 0
+    for sentence in golden_run["short_stream"]:
+        tokens = [normalize_token(t) for t in sentence.tokens]
+        for k in (1, 20, 200):
+            got = link_sentence(tokens, index, k)
+            assert got == oracle_link_sentence(tokens, index, documents, k)
+            linked += len(got)
+    assert linked > 300
+
+
+def test_featurize_equals_per_feature_loop(golden_run):
+    """Every representation of the short stream featurizes to the index
+    and value bytes of the per-feature `hash_feature` loop."""
+    index = golden_run["built"]
+    reps = [
+        rep
+        for sentence in golden_run["short_stream"]
+        for _, rep in mention_candidates([normalize_token(t) for t in sentence.tokens], index)
+    ]
+    assert len(reps) > 200
+    for rep in reps:
+        for dim in (2**6, 2**18):
+            got, want = featurize(rep, dim), oracle_featurize(rep, dim)
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()

@@ -17,9 +17,11 @@ from oracles import (
     load_index_v1,
     oracle_field_index,
     oracle_search_tokens,
+    ranked_top_k,
     save_index_v1,
     search,
     search_tokens,
+    top_k_mask,
     write_index_arrays,
     write_index_raw,
 )
@@ -37,6 +39,7 @@ from linkrush.index import (
     field_tokens,
     load_corpus,
     save_corpus,
+    top_k_members,
 )
 from linkrush.storage import MAGIC_INDEX, dump_json, load_json, read_container, write_container
 
@@ -247,6 +250,70 @@ class TestColumnarMatchesOracle:
         docs = [[], [], []]
         index, oracle = build_field_index("interwikies", docs), oracle_field_index(docs)
         assert self._check(index, oracle, ["a", "b"], 3) == []
+
+
+class TestTopKMembers:
+    """`top_k_members` against the ranked top-k of `oracles.top_k_mask`,
+    on score vectors built to tie: few distinct values, zero scores, and
+    k cutting through a run of equal scores."""
+
+    def _check(self, scores, docs, k):
+        docs = np.asarray(docs, dtype=np.int64)
+        got = top_k_members(scores, docs, k)
+        assert got.dtype == bool and got.tolist() == top_k_mask(scores, k)[docs].tolist()
+        return got
+
+    def test_seeded_tied_vectors(self):
+        rng = np.random.default_rng(19)
+        selected = straddling = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 80))
+            values = rng.choice([0.5, 1.25, 2.0, 3.5, 7.0], size=int(rng.integers(1, 4)), replace=False)
+            scores = np.where(rng.random(n) < rng.random(), 0.0, rng.choice(values, size=n))
+            ranked = ranked_top_k(scores, n)
+            ks = {1, n, n + 3, int(rng.integers(1, n + 1))}
+            # k = i ends the top-k between two tied documents.
+            cuts = [i for i in range(1, len(ranked)) if scores[ranked[i - 1]] == scores[ranked[i]]]
+            if cuts:
+                ks.add(cuts[int(rng.integers(0, len(cuts)))])
+                straddling += 1
+            for k in sorted(ks):
+                hits = rng.integers(0, n, size=int(rng.integers(1, 11)))
+                positive = scores[hits][scores[hits] > 0]
+                selected += bool(len(positive)) and np.count_nonzero(scores >= positive.min()) > k
+                self._check(scores, hits, k)
+                self._check(scores, np.arange(n), k)
+                self._check(scores, np.flatnonzero(scores), k)
+        assert selected > 300 and straddling > 200
+
+    def test_tie_at_the_kth_score(self):
+        # Documents 1, 2, 3 and 5 tie at 2.0; k = 3 keeps 1, 2 and 3 only,
+        # so the cut falls between tied documents 3 and 5.
+        scores = np.array([1.0, 2.0, 2.0, 2.0, 0.0, 2.0, 1.0, 3.0])
+        assert self._check(scores, [3, 5], 4).tolist() == [True, False]
+        assert self._check(scores, [7, 1, 2, 3, 5, 0, 6, 4], 4).tolist() == [
+            True, True, True, True, False, False, False, False
+        ]
+        assert self._check(scores, [5, 0], 5).tolist() == [True, False]
+        assert self._check(scores, [0, 6], 6).tolist() == [True, False]
+
+    def test_k_of_one_n_and_beyond(self):
+        scores = np.array([2.0, 0.0, 2.0, 1.0, 2.0])
+        every = np.arange(5)
+        assert self._check(scores, every, 1).tolist() == [True, False, False, False, False]
+        for k in (5, 6, 100):
+            assert self._check(scores, every, k).tolist() == [True, False, True, True, True]
+        assert not self._check(np.zeros(4), np.arange(4), 2).any()
+        assert self._check(scores, np.zeros(0, dtype=np.int64), 1).tolist() == []
+
+    def test_document_listed_twice(self):
+        scores = np.array([1.0, 1.0, 1.0, 0.0, 1.0])
+        got = self._check(scores, [4, 1, 4, 3, 1, 0], 2)
+        assert got.tolist() == [False, True, False, False, True, True]
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            top_k_members(np.ones(3), np.arange(3), 0)
 
 
 class TestFromPostingsValidation:
@@ -572,7 +639,7 @@ class TestCorpusIndexBundle:
             IndexedDocument(1, "b", ("b",), (), "b", ""),
         ]
         bundle = CorpusIndex.build(docs)
-        assert bundle.search_field("interwikies", ["a"], 5).ranked() == []
+        assert search_tokens(bundle.fields["interwikies"], ["a"], 5) == []
 
     def test_save_load_identical_results(self, fixture_index, tmp_path):
         path = tmp_path / "idx.bin"
@@ -581,8 +648,8 @@ class TestCorpusIndexBundle:
         queries = [["nokia", "2010"], ["the", "boss"], ["granite"], ["houston"]]
         for terms in queries:
             for name in FIELD_NAMES:
-                assert loaded.search_field(name, terms, 50).ranked() == (
-                    fixture_index.search_field(name, terms, 50).ranked()
+                assert search_tokens(loaded.fields[name], terms, 50) == (
+                    search_tokens(fixture_index.fields[name], terms, 50)
                 )
         assert loaded.titles == fixture_index.titles
         assert loaded.leads == fixture_index.leads

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracles import mention_recall, oracle_find_matches, oracle_link_sentence
+from oracles import mention_recall, oracle_find_matches, oracle_link_sentence, search_tokens
 from oracles import oracle_retrieve_pooled as retrieve_pooled
 
 from linkrush.corpus import IndexedDocument
@@ -255,7 +255,7 @@ class TestAnchorFirstMatchesOracle:
                 shared += any(len(set(doc_ids)) > 1 for *_, doc_ids in hits)
                 ks = {1, 3, 50, len(index.titles) + 1}
                 for name in FIELD_NAMES:
-                    ranked = index.search_field(name, tokens, len(index.titles)).ranked()
+                    ranked = search_tokens(index.fields[name], tokens, len(index.titles))
                     # Cut inside a run of tied scores, so ties straddle the k-th rank.
                     cuts = [i for i in range(1, len(ranked)) if ranked[i - 1][1] == ranked[i][1]]
                     if cuts:

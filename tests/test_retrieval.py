@@ -1,7 +1,7 @@
 """Candidate pooling: union membership, score summation, diagnostics.
 
 `TestRetrievePooled` pins the pool-first oracle; `TestPoolMasks` checks
-the columnar pool against it.
+the pool of score vectors, asked through top-k membership, against it.
 """
 
 from __future__ import annotations
@@ -9,10 +9,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from oracles import oracle_retrieve_pooled as retrieve_pooled
+from oracles import search_tokens, top_k_mask
 
 from linkrush.corpus import IndexedDocument
-from linkrush.index import FIELD_NAMES, CorpusIndex
-from linkrush.retrieval import PoolMasks, pool_stats
+from linkrush.index import FIELD_NAMES, CorpusIndex, top_k_members
+from linkrush.retrieval import Pool, pool_stats
 from linkrush.retrieval import retrieve_pooled as retrieve_masks
 
 
@@ -33,7 +34,7 @@ class TestRetrievePooled:
         pooled_ids = {c.doc_id for c in pool.candidates}
         union = set()
         for name in FIELD_NAMES:
-            union |= {doc_id for doc_id, _ in small_index.search_field(name, tokens, 10).ranked()}
+            union |= {doc_id for doc_id, _ in search_tokens(small_index.fields[name], tokens, 10)}
         assert pooled_ids == union
 
     def test_pooled_score_is_sum_of_field_scores(self, small_index):
@@ -42,7 +43,7 @@ class TestRetrievePooled:
             assert candidate.pooled_score == sum(candidate.per_field_scores.values())
             # a field appears only when it actually retrieved the document
             for name, score in candidate.per_field_scores.items():
-                field_hits = dict(small_index.search_field(name, ["blue", "mill"], 10).ranked())
+                field_hits = dict(search_tokens(small_index.fields[name], ["blue", "mill"], 10))
                 assert field_hits[candidate.doc_id] == score
 
     def test_candidates_sorted_by_pooled_score(self, small_index):
@@ -108,20 +109,19 @@ class TestPoolStats:
 
 
 def _masks_match_oracle(tokens, index, k, fields=FIELD_NAMES):
-    """The columnar pool holds the oracle's documents, per-field counts
-    and pooled-score floats, and nothing else."""
-    masks = retrieve_masks(tokens, index, k, fields=fields)
+    """The pool holds the oracle's documents, per-field counts and
+    pooled-score floats, and nothing else."""
+    pool = retrieve_masks(tokens, index, k, fields=fields)
     oracle = retrieve_pooled(tokens, index, k, fields=fields)
-    assert masks.candidates.tolist() == sorted(c.doc_id for c in oracle.candidates)
-    assert masks.per_field_counts == oracle.per_field_counts
-    assert list(masks.masks) == list(fields)
-    for candidate in oracle.candidates:
-        score = masks.pooled_score(candidate.doc_id)
-        assert type(score) is float and score == candidate.pooled_score
-    pooled = set(masks.candidates.tolist())
-    for doc_id in range(len(index.titles)):
-        if doc_id not in pooled:
-            assert masks.pooled_score(doc_id) is None
+    assert pool.candidates.tolist() == sorted(c.doc_id for c in oracle.candidates)
+    assert pool.per_field_counts == oracle.per_field_counts
+    assert list(pool.scores) == list(fields)
+    expected = {c.doc_id: c.pooled_score for c in oracle.candidates}
+    for doc_id, score in enumerate(pool.pooled_scores(range(len(index.titles)))):
+        if doc_id in expected:
+            assert type(score) is float and score == expected[doc_id]
+        else:
+            assert score is None
 
 
 class TestPoolMasks:
@@ -142,7 +142,7 @@ class TestPoolMasks:
 
     def test_no_shared_tokens_gives_empty_pool(self, small_index):
         pool = retrieve_masks(["zzz", "qqq"], small_index, 10)
-        assert isinstance(pool, PoolMasks)
+        assert isinstance(pool, Pool)
         assert len(pool.candidates) == 0
         assert pool.per_field_counts == {name: 0 for name in FIELD_NAMES}
 
@@ -160,11 +160,26 @@ class TestPoolMasks:
 
     def test_mask_is_exact_top_k_under_ties(self):
         # Six identical documents tie on every score: the top-k is the
-        # k lowest doc_ids, and the mask holds exactly those.
+        # k lowest doc_ids, and exactly those are members.
         docs = [IndexedDocument(i, "mill", ("mill",), (), "mill", "") for i in range(6)]
         index = CorpusIndex.build(docs)
+        every = np.arange(6)
         for k in range(1, 8):
             pool = retrieve_masks(["mill"], index, k)
             for name in ("title", "referred_by", "all_text"):
-                assert np.flatnonzero(pool.masks[name]).tolist() == list(range(min(k, 6)))
-            assert not pool.masks["interwikies"].any()
+                member = top_k_members(pool.scores[name], every, k)
+                assert np.flatnonzero(member).tolist() == list(range(min(k, 6)))
+            assert not top_k_members(pool.scores["interwikies"], every, k).any()
+
+    def test_counts_equal_oracle_masks(self, fixture_index, gold_sentences):
+        # perfbench/tracing.py counts `candidates` and `per_field_counts`
+        # of every pool `retrieve_pooled` returns; both must be what the
+        # ranked top-k masks give.
+        for sentence in gold_sentences:
+            tokens = [t.lower() for t in sentence.tokens]
+            for k in (1, 3, 200):
+                pool = retrieve_masks(tokens, fixture_index, k)
+                masks = {name: top_k_mask(scores, k) for name, scores in pool.scores.items()}
+                union = np.logical_or.reduce(list(masks.values()))
+                assert pool.candidates.tolist() == np.flatnonzero(union).tolist()
+                assert pool.per_field_counts == {n: int(m.sum()) for n, m in masks.items()}
