@@ -8,6 +8,10 @@ the binary head can veto the type head entirely. A single-head variant
 folds the non-entity outcome into a 7th class instead; the per-token
 window tagger of `ensemble` is such a single-head model.
 
+Features are hashed (Weinberger et al., 2009) by `_feature_digests` and
+their counts normalized by `_normalized`, for `featurize` and the window
+tagger's `ensemble.window_features` alike.
+
 Both kinds of model share one file layout: a JSON header line, then the
 weight arrays as little-endian float64. The header's `kind` keeps a
 mention classifier from loading as a window tagger and the reverse, and
@@ -92,22 +96,6 @@ def _feature_digests(keys: Sequence[str]) -> np.ndarray:
     return np.frombuffer(b"".join(digests), dtype="<u8")
 
 
-def hash_feature(parts: tuple[str, ...], feature_dim: int) -> int:
-    """Stable feature hashing: the low bits of the feature's 64-bit
-    hash; feature_dim must be a power of two."""
-    digest = _blake2b_64(_KEY_SEP.join(parts).encode("utf-8")).digest()
-    return int.from_bytes(digest, "little") & (feature_dim - 1)
-
-
-def sparse_from_counts(counts: dict[int, float]) -> SparseVector:
-    """Sorted, L2-normalized sparse vector (zero vector stays zero)."""
-    if not counts:
-        return SparseVector(np.zeros(0, dtype=np.int64), np.zeros(0))
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[i] for i in indices], dtype=np.float64)
-    return SparseVector(indices, _normalized(values))
-
-
 def _normalized(values: np.ndarray) -> np.ndarray:
     """values over their L2 norm (a zero vector stays zero)."""
     norm = math.sqrt(float(values @ values))
@@ -144,9 +132,7 @@ def featurize(rep: Representation, feature_dim: int = DEFAULT_FEATURE_DIM) -> Sp
     within each run of one segment, L2-normalized.
 
     Each feature's 64-bit hash is masked to `feature_dim` bits, the
-    masked values are counted with `np.unique`, and the counts are
-    normalized as `sparse_from_counts` does, so the vector equals
-    `sparse_from_counts` over `hash_feature` counts bit for bit. The
+    masked values are counted with `np.unique` and normalized. The
     hashes of a WIKI run (a lead, or its prefix when the budget cut it)
     come from a memo keyed by the run's tokens and bounded at
     WIKI_DIGEST_MEMO_SIZE runs, least recently used first out.

@@ -5,7 +5,8 @@ short ones are handed to the entity-linking path, which brings external
 page text to bear. The per-token baseline, the window tagger, is a
 single-head `MentionClassifier` (six types plus non-entity) over hashed
 features of a ±3 token window; it is stored like the mention classifier,
-under its own header kind.
+under its own header kind. `window_features` hashes every window of a
+sentence in one pass, with the hash and normalization of `classifier`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from .classifier import (
     DEFAULT_FEATURE_DIM,
-    ENTITY_TYPES,
     OTHER_CLASS,
     TYPE_INDEX,
     EntityType,
@@ -27,17 +27,20 @@ from .classifier import (
     SparseVector,
     TrainExample,
     TrainingConfig,
+    _KEY_SEP,
+    _check_dim,
+    _feature_digests,
     _fit,
     _head_logits,
-    hash_feature,
+    _normalized,
+    decide,
     load_window_tagger,
     predict,
     save_window_tagger,
-    sparse_from_counts,
 )
 from .index import CorpusIndex
 from .mentions import Mention, link_sentence
-from .representation import DEFAULT_MAX_LEN, Representation, build_representation
+from .representation import DEFAULT_MAX_LEN, MARKER_COUNT, Representation, build_representation
 from .retrieval import DEFAULT_K
 # Not called here: perfbench/tracing.py patches these two names in this module.
 from .storage import dump_json, write_container  # noqa: F401
@@ -74,18 +77,32 @@ def route(tokens: Sequence[str], config: RouterConfig) -> Route:
     return Route.ENTITY_LINKING
 
 
-def window_features(
-    tokens: Sequence[str], position: int, feature_dim: int
-) -> SparseVector:
-    """Hashed unigram features of tokens at offsets -3..+3, edge-padded."""
-    counts: dict[int, float] = {}
+def window_features(tokens: Sequence[str], feature_dim: int) -> list[SparseVector]:
+    """Per position, hashed unigram features of the tokens at offsets
+    -3..+3, edge-padded, L2-normalized. All 7·n keys are hashed in one
+    call; each masked hash carries its position in the bits above
+    `feature_dim`, so one `np.unique` counts them in position order.
+    Raises ValueError unless len(tokens) · feature_dim fits in 64 bits."""
+    _check_dim(feature_dim)
     n = len(tokens)
-    for offset in range(-WINDOW_RADIUS, WINDOW_RADIUS + 1):
-        i = position + offset
-        token = tokens[i] if 0 <= i < n else _EDGE_TOKEN
-        idx = hash_feature((f"w{offset:+d}", token), feature_dim)
-        counts[idx] = counts.get(idx, 0.0) + 1.0
-    return sparse_from_counts(counts)
+    if n * feature_dim > 2**64:
+        raise ValueError(f"{n} positions of feature_dim {feature_dim} do not fit in 64 bits")
+    padded = [_EDGE_TOKEN] * WINDOW_RADIUS + list(tokens) + [_EDGE_TOKEN] * WINDOW_RADIUS
+    keys: list[str] = []
+    for j, offset in enumerate(range(-WINDOW_RADIUS, WINDOW_RADIUS + 1)):
+        prefix = f"w{offset:+d}{_KEY_SEP}"
+        keys += [prefix + token for token in padded[j : j + n]]
+    mask, shift = np.uint64(feature_dim - 1), np.uint64(feature_dim.bit_length() - 1)
+    positions = np.tile(np.arange(n, dtype=np.uint64), 2 * WINDOW_RADIUS + 1)
+    keyed, counts = np.unique(
+        (positions << shift) | (_feature_digests(keys) & mask), return_counts=True
+    )
+    bounds = np.searchsorted(keyed >> shift, np.arange(n + 1, dtype=np.uint64)).tolist()
+    indices, values = (keyed & mask).astype(np.int64), counts.astype(np.float64)
+    return [
+        SparseVector(indices[lo:hi], _normalized(values[lo:hi]))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 def train_baseline(
@@ -101,11 +118,10 @@ def train_baseline(
     labels: list[object] = []
     for sentence in sentences:
         normalized = [normalize_token(t, turkish=turkish) for t in sentence.tokens]
-        for pos, tag in enumerate(sentence.tags):
-            features.append(window_features(normalized, pos, feature_dim))
-            labels.append(
-                OTHER_CLASS if tag == "O" else TYPE_INDEX[EntityType(tag[2:])]
-            )
+        features += window_features(normalized, feature_dim)
+        labels += [
+            OTHER_CLASS if tag == "O" else TYPE_INDEX[EntityType(tag[2:])] for tag in sentence.tags
+        ]
     if not features:
         raise ValueError("cannot train on zero tokens")
     model = MentionClassifier.zeros(feature_dim, single_head=True)
@@ -127,7 +143,7 @@ def mention_candidates(
     Training and tagging both draw their candidates from here.
     """
     for mention in link_sentence(normalized, index, k):
-        if mention.length + 5 > max_len:
+        if mention.length + MARKER_COUNT > max_len:
             continue  # cannot be represented within the budget
         yield mention, build_representation(
             normalized,
@@ -172,17 +188,16 @@ def tag_baseline(
     """Tag every token independently, then repair the BIO chain.
 
     The raw per-token outputs are type-only (I-X or O); repair turns each
-    run's first tag into B-X. The class is the argmax of the single
-    head's logits, ties toward the lower index.
+    run's first tag into B-X. The class is `decide` over the single
+    head's logits: their argmax, ties toward the lower index.
     """
     if not tagger.single_head:
         raise ValueError("the window tagger must be a single-head model")
     normalized = [normalize_token(t, turkish=tagger.turkish) for t in tokens]
     raw: list[str] = []
-    for pos in range(len(tokens)):
-        x = window_features(normalized, pos, tagger.feature_dim)
-        cls = int(np.argmax(_head_logits(tagger.W_type, tagger.b_type, x)))
-        raw.append("O" if cls == OTHER_CLASS else f"I-{ENTITY_TYPES[cls].value}")
+    for x in window_features(normalized, tagger.feature_dim):
+        etype = decide(None, _head_logits(tagger.W_type, tagger.b_type, x))
+        raw.append("O" if etype is None else f"I-{etype.value}")
     return TaggedSentence(sentence_id, tuple(tokens), tuple(bio_repair(raw)))
 
 

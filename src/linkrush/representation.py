@@ -19,7 +19,7 @@ CLS_TOKEN = "[CLS]"
 SEP_TOKEN = "[SEP]"
 
 DEFAULT_MAX_LEN = 256
-_MARKER_COUNT = 5
+MARKER_COUNT = 5
 
 
 class Segment(Enum):
@@ -60,17 +60,17 @@ def build_representation(
             f"sentence of length {len(sentence_tokens)}"
         )
     mention_tokens = list(sentence_tokens[mention.start : mention.end])
-    if max_len < len(mention_tokens) + _MARKER_COUNT:
+    if max_len < len(mention_tokens) + MARKER_COUNT:
         raise ValueError(
             f"max_len {max_len} cannot hold a {len(mention_tokens)}-token "
-            f"mention plus {_MARKER_COUNT} markers"
+            f"mention plus {MARKER_COUNT} markers"
         )
 
     ctx_l = list(sentence_tokens[: mention.start])
     ctx_r = list(sentence_tokens[mention.end :])
     wiki = tokenize(lead, turkish=turkish)
 
-    over = _MARKER_COUNT + len(ctx_l) + len(mention_tokens) + len(ctx_r) + len(wiki) - max_len
+    over = MARKER_COUNT + len(ctx_l) + len(mention_tokens) + len(ctx_r) + len(wiki) - max_len
     if over > 0:
         cut = min(over, len(wiki))
         wiki = wiki[: len(wiki) - cut]

@@ -42,16 +42,17 @@ class Pool:
     def candidates(self) -> np.ndarray:
         """The pooled document positions, ascending: every document of
         positive score that some field's top-k holds."""
-        pooled = np.zeros(0, dtype=np.int64)
-        for scores in self.scores.values():
-            hits = np.flatnonzero(scores)
-            pooled = np.union1d(pooled, hits[top_k_members(scores, hits, self.k)])
-        return pooled
+        hits = np.flatnonzero(sum(self.scores.values()))  # no score is negative
+        return hits[self._membership(hits)[0]]
 
     def pooled_scores(self, doc_ids: Sequence[int]) -> list[float | None]:
         """Per document, the sum of its scores over the fields whose top-k
         holds it, added in field order; None outside the pool."""
-        docs = np.asarray(doc_ids, dtype=np.int64)
+        pooled, total = self._membership(np.asarray(doc_ids, dtype=np.int64))
+        return [score if kept else None for score, kept in zip(total.tolist(), pooled.tolist())]
+
+    def _membership(self, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per document, whether it is pooled, and its pooled score."""
         total = np.zeros(len(docs))
         pooled = np.zeros(len(docs), dtype=bool)
         for scores in self.scores.values():
@@ -60,7 +61,7 @@ class Pool:
             # the member scores alone, in field order.
             total += np.where(member, scores[docs], 0.0)
             pooled |= member
-        return [score if kept else None for score, kept in zip(total.tolist(), pooled.tolist())]
+        return pooled, total
 
 
 def retrieve_pooled(

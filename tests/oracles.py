@@ -17,9 +17,12 @@ every pooled document's anchors, and matches the sentence against it.
 `link_sentence` must return exactly the same mentions, pooled-score
 floats included.
 
-Featurizing: the per-mention loop that hashes every feature of a
-representation with `hash_feature` and counts them in a dict.
-`featurize` must return exactly the same indices and value bytes.
+Feature hashing: `hash_feature` hashes one feature at a time and
+`sparse_from_counts` normalizes a dict of counts. Built on them,
+`oracle_featurize` hashes every feature of a representation in a loop,
+and `oracle_window_features` one position's window; `featurize` and
+`ensemble.window_features` must return exactly the same indices and
+value bytes.
 
 Tokenizing: the character loop that the one-regex tokenizer replaced.
 `tokenize` must return exactly the same tokens.
@@ -38,6 +41,7 @@ malformed-file tests edit).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import zlib
 from dataclasses import dataclass
@@ -51,8 +55,6 @@ from linkrush.classifier import (
     SparseVector,
     _check_dim,
     _example_gradients,
-    hash_feature,
-    sparse_from_counts,
 )
 from linkrush.corpus import IndexedDocument
 from linkrush.index import (
@@ -138,6 +140,36 @@ def search_tokens(
     scores = field_scores(field_index, query_terms)
     top = ranked_top_k(scores, k)
     return list(zip(top.tolist(), scores[top].tolist()))
+
+
+def hash_feature(parts: tuple[str, ...], feature_dim: int) -> int:
+    """The low bits of the 8-byte blake2b digest, read little-endian, of
+    the feature's parts joined by U+001F; feature_dim must be a power of
+    two."""
+    digest = hashlib.blake2b("\x1f".join(parts).encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little") & (feature_dim - 1)
+
+
+def sparse_from_counts(counts: dict[int, float]) -> SparseVector:
+    """Sorted, L2-normalized sparse vector (zero vector stays zero)."""
+    if not counts:
+        return SparseVector(np.zeros(0, dtype=np.int64), np.zeros(0))
+    indices = np.array(sorted(counts), dtype=np.int64)
+    values = np.array([counts[i] for i in indices], dtype=np.float64)
+    norm = math.sqrt(float(values @ values))
+    return SparseVector(indices, values / norm if norm > 0.0 else values)
+
+
+def oracle_window_features(tokens: Sequence[str], position: int, feature_dim: int) -> SparseVector:
+    """Hashed unigram features of the tokens at offsets -3..+3 around one
+    position, edge-padded, one `hash_feature` call per feature."""
+    counts: dict[int, float] = {}
+    for offset in range(-3, 4):
+        i = position + offset
+        token = tokens[i] if 0 <= i < len(tokens) else "[EDGE]"
+        idx = hash_feature((f"w{offset:+d}", token), feature_dim)
+        counts[idx] = counts.get(idx, 0.0) + 1.0
+    return sparse_from_counts(counts)
 
 
 def oracle_featurize(rep: Representation, feature_dim: int) -> SparseVector:

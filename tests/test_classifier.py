@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import batch_gradients, batch_loss, oracle_featurize
+from oracles import batch_gradients, batch_loss, hash_feature, oracle_featurize
 
 from linkrush.classifier import (
     ENTITY_TYPES,
@@ -18,10 +18,11 @@ from linkrush.classifier import (
     TrainExample,
     TrainingConfig,
     WIKI_DIGEST_MEMO_SIZE,
+    _KEY_SEP,
+    _feature_digests,
     _wiki_digests,
     decide,
     featurize,
-    hash_feature,
     forward,
     load_model,
     loss,
@@ -129,6 +130,13 @@ class TestFeatureHashPins:
             assert hash_feature(parts, 2**64) == full
             assert hash_feature(parts, 2**18) == default == full & (2**18 - 1)
 
+    def test_feature_digests_values(self):
+        digests = _feature_digests([_KEY_SEP.join(parts) for parts, _, _ in HASH_PINS])
+        assert digests.dtype == np.dtype("<u8")
+        assert digests.tolist() == [full for _, full, _ in HASH_PINS]
+        masked = digests & np.uint64(2**18 - 1)
+        assert masked.tolist() == [default for _, _, default in HASH_PINS]
+
 
 def assert_same_vector(got, want):
     assert got.indices.dtype == want.indices.dtype == np.int64
@@ -139,7 +147,7 @@ def assert_same_vector(got, want):
 
 class TestFeaturizeMatchesOracle:
     """`featurize` (memoised WIKI digests, one `np.unique`) against the
-    per-feature `hash_feature` loop of `oracle_featurize`: the same
+    per-feature `hash_feature` loop of `oracles.oracle_featurize`: the same
     index and value bytes."""
 
     def test_random_reps_and_dims(self):

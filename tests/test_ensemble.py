@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import oracle_window_features
 
 from linkrush.classifier import GateDecision, TrainingConfig
 from linkrush.ensemble import (
@@ -22,6 +23,7 @@ from linkrush.ensemble import (
 )
 from linkrush.errors import DataFormatError
 from linkrush.evaluation import TaggedSentence, bio_repair, span_extract
+from linkrush.tokenizer import normalize_token
 
 DIM = 2**10
 
@@ -66,23 +68,69 @@ class TestRoute:
 
 class TestWindowFeatures:
     def test_edge_padding(self):
-        vec = window_features(["solo"], 0, DIM)
+        [vec] = window_features(["solo"], DIM)
         # one real token plus six edge markers still yields a unit vector
         assert float(vec.values @ vec.values) == pytest.approx(1.0, abs=1e-12)
 
     def test_position_sensitivity(self):
         # same bag of tokens, different focus position -> different features
         tokens = ["a", "b", "c", "d", "e", "f", "g"]
-        left = window_features(tokens, 1, DIM)
-        right = window_features(tokens, 5, DIM)
+        vectors = window_features(tokens, DIM)
+        left, right = vectors[1], vectors[5]
         assert not np.array_equal(left.indices, right.indices)
 
     def test_deterministic(self):
         tokens = ["the", "red", "mill"]
-        a = window_features(tokens, 1, DIM)
-        b = window_features(tokens, 1, DIM)
+        a = window_features(tokens, DIM)[1]
+        b = window_features(tokens, DIM)[1]
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.values, b.values)
+
+
+def assert_rows_equal_oracle(tokens, dim):
+    rows = window_features(tokens, dim)
+    assert len(rows) == len(tokens)
+    for position, got in enumerate(rows):
+        want = oracle_window_features(tokens, position, dim)
+        assert got.indices.dtype == want.indices.dtype == np.int64
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.values.dtype == want.values.dtype == np.float64
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+class TestWindowFeaturesMatchOracle:
+    """The whole-sentence `window_features` against the per-position
+    `hash_feature` loop of `oracles.oracle_window_features`: the same
+    index and value bytes at every position."""
+
+    def test_seeded_sentences(self):
+        rng = np.random.default_rng(20)
+        vocab = [f"w{i}" for i in range(40)] + ["[EDGE]", "the", "the"]
+        for _ in range(150):
+            n = int(rng.integers(1, 31))
+            tokens = [vocab[int(i)] for i in rng.integers(0, len(vocab), size=n)]
+            # At 8 and 2 features a row's seven keys must collide.
+            for dim in (2**18, 8, 2):
+                assert_rows_equal_oracle(tokens, dim)
+
+    def test_short_and_special_sentences(self):
+        turkish = [normalize_token(t, turkish=True) for t in ("İSTANBUL", "IŞIK", "Iğdır")]
+        assert turkish[0] == "istanbul"
+        for tokens in ([], ["solo"], turkish, ["zürich", "東京", "naïve", "é"], ["a"] * 9):
+            for dim in (2**18, 8, 2):
+                assert_rows_equal_oracle(tokens, dim)
+        assert window_features([], DIM) == []
+
+    def test_row_numbers_must_fit_in_64_bits(self):
+        assert len(window_features(["a"], 2**64)) == 1
+        assert_rows_equal_oracle(["a", "b"], 2**63)
+        for tokens, dim in ((["a", "b"], 2**64), (["a"] * 3, 2**63), (["a"] * 5, 2**62)):
+            with pytest.raises(ValueError, match="64 bits"):
+                window_features(tokens, dim)
+
+    def test_dim_must_be_a_power_of_two(self):
+        with pytest.raises(ValueError):
+            window_features(["a"], 12)
 
 
 def per_token_fixture():

@@ -19,9 +19,10 @@ format 2 (binary columns behind a JSON header); the format-1 bytes are
 still pinned as `FORMAT_1_INDEX`, through the format-1 writer kept as a
 test oracle, and a format-2 round trip must load what format 1 loads.
 
-On the same world, linking and featurizing are also compared with their
-oracles in `oracles.py` (the pool-first linker over ranked top-k lists,
-and the per-feature hashing loop), mention for mention and byte for byte.
+On the same world, linking, featurizing and the window tagger's features
+are also compared with their oracles in `oracles.py` (the pool-first
+linker over ranked top-k lists, and the per-feature hashing loops),
+mention for mention and byte for byte.
 
 The gate path is not pinned: at 1000 articles the training sentences
 yield no non-entity candidates, and the binary head vetoes none of the
@@ -37,7 +38,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import assert_v2_loads_as_v1, oracle_featurize, oracle_link_sentence, save_index_v1
+from oracles import (
+    assert_v2_loads_as_v1,
+    oracle_featurize,
+    oracle_link_sentence,
+    oracle_window_features,
+    save_index_v1,
+)
 
 from linkrush.classifier import TrainingConfig, featurize, load_model, save_model, train
 from linkrush.corpus import ingest
@@ -49,6 +56,7 @@ from linkrush.ensemble import (
     save_window_tagger,
     tag_sentences,
     train_baseline,
+    window_features,
 )
 from linkrush.evaluation import format_conll, read_conll
 from linkrush.index import CorpusIndex
@@ -122,6 +130,7 @@ def golden_run(tmp_path_factory):
         "documents": documents,
         "built": built,
         "short_stream": read_conll(short_dir / "stream.conll"),
+        "long_stream": read_conll(long_dir / "stream.conll"),
         "index": _sha256(index_path.read_bytes()),
         "models": _sha256(model_path.read_bytes() + window_path.read_bytes()),
         **{name: _sha256(text.encode("utf-8")) for name, text in predictions.items()},
@@ -177,3 +186,20 @@ def test_featurize_equals_per_feature_loop(golden_run):
             got, want = featurize(rep, dim), oracle_featurize(rep, dim)
             assert got.indices.tobytes() == want.indices.tobytes()
             assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_window_features_equal_per_position_loop(golden_run):
+    """Every position of the long stream gets the index and value bytes
+    of the per-position `hash_feature` loop."""
+    positions = 0
+    for sentence in golden_run["long_stream"]:
+        tokens = [normalize_token(t) for t in sentence.tokens]
+        for dim in (2**6, 2**18):
+            rows = window_features(tokens, dim)
+            assert len(rows) == len(tokens)
+            for position, got in enumerate(rows):
+                want = oracle_window_features(tokens, position, dim)
+                assert got.indices.tobytes() == want.indices.tobytes()
+                assert got.values.tobytes() == want.values.tobytes()
+        positions += len(tokens)
+    assert positions > 1000

@@ -227,13 +227,15 @@ class TestColumnarMatchesOracle:
 
     def test_build_columns_equal_oracle(self):
         # The same seeded corpora as test_random_zipfian_corpora: rows in
-        # order of first appearance, postings by doc_id, impacts bit-exact.
+        # sorted term order, postings by doc_id, impacts bit-exact.
         rng = np.random.default_rng(2006)
         for _ in range(6):
             _, _, docs = _zipf_corpus(rng, int(rng.integers(200, 400)))
             index, oracle = build_field_index("text", docs), oracle_field_index(docs)
-            assert list(index.term_rows) == list(oracle.postings)
-            plists = list(oracle.postings.values())
+            terms = sorted(oracle.postings)
+            assert list(index.term_rows) == terms
+            assert list(index.term_rows.values()) == list(range(len(terms)))
+            plists = [oracle.postings[term] for term in terms]
             assert index.offsets.tolist() == np.cumsum([0] + [len(pl) for pl in plists]).tolist()
             assert index.doc_ids.tolist() == [d for pl in plists for d, _ in pl]
             assert index.tfs.tolist() == [tf for pl in plists for _, tf in pl]
@@ -241,8 +243,8 @@ class TestColumnarMatchesOracle:
             assert (index.avg_doc_length, index.doc_count) == (oracle.avg_doc_length, oracle.doc_count)
             impacts = [
                 oracle.idf(term) * _tf_part(tf, oracle, d)
-                for term, pl in oracle.postings.items()
-                for d, tf in pl
+                for term in terms
+                for d, tf in oracle.postings[term]
             ]
             assert index.impacts.tobytes() == np.array(impacts).tobytes()
 
@@ -586,6 +588,21 @@ class TestFormat2MatchesFormat1:
             for i, tokens in enumerate(token_docs)
         ]
         assert_v2_loads_as_v1(docs, CorpusIndex.build(docs, turkish=True), tmp_path)
+
+    def test_built_index_equals_its_loaded_copy(self, fixture_index, tmp_path):
+        # Build holds each field as save writes it: the same columns, the
+        # same term rows, in the same order.
+        path = tmp_path / "idx.bin"
+        fixture_index.save(path)
+        loaded = CorpusIndex.load(path)
+        for name in FIELD_NAMES:
+            built, copy = fixture_index.fields[name], loaded.fields[name]
+            assert list(built.term_rows.items()) == list(copy.term_rows.items())
+            assert list(built.term_rows) == sorted(built.term_rows)
+            for column in ("offsets", "doc_ids", "tfs", "impacts", "doc_lengths"):
+                got, want = getattr(copy, column), getattr(built, column)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert (copy.avg_doc_length, copy.doc_count) == (built.avg_doc_length, built.doc_count)
 
     def test_save_of_a_loaded_index_is_the_same_file(self, fixture_index, tmp_path):
         first, second = tmp_path / "a.bin", tmp_path / "b.bin"
