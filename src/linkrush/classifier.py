@@ -8,9 +8,12 @@ the binary head can veto the type head entirely. A single-head variant
 folds the non-entity outcome into a 7th class instead; the per-token
 window tagger of `ensemble` is such a single-head model.
 
-Features are hashed (Weinberger et al., 2009) by `_feature_digests` and
-their counts normalized by `_normalized`, for `featurize` and the window
-tagger's `ensemble.window_features` alike.
+Features are hashed (Weinberger et al., 2009) by `_feature_digests`, for
+`featurize` and the window tagger's `ensemble.window_features` alike.
+`featurize` returns one `SparseVector`, L2-normalized by `_normalized`;
+`window_features` returns a whole sentence's rows as one `SparseRows`
+(CSR), normalized row by row to the same bytes, and `_rows_logits`
+scores all of its rows with one weight gather.
 
 Both kinds of model share one file layout: a JSON header line, then the
 weight arrays as little-endian float64. The header's `kind` keeps a
@@ -26,7 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -84,6 +87,30 @@ class SparseVector:
         return len(self.indices)
 
 
+@dataclass(frozen=True)
+class SparseRows:
+    """Sparse feature rows in CSR form: row r holds `indices` and `values`
+    [indptr[r]:indptr[r + 1]], its indices strictly increasing. A row is
+    read as a `SparseVector` view of that slice."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, row: int) -> SparseVector:
+        row = range(len(self))[row]
+        lo, hi = int(self.indptr[row]), int(self.indptr[row + 1])
+        return SparseVector(self.indices[lo:hi], self.values[lo:hi])
+
+    def __iter__(self) -> Iterator[SparseVector]:
+        bounds = self.indptr.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield SparseVector(self.indices[lo:hi], self.values[lo:hi])
+
+
 # A feature's key is its parts joined by U+001F; its 64-bit hash is the
 # 8-byte blake2b digest of the key's UTF-8, read little-endian.
 _KEY_SEP = "\x1f"
@@ -101,6 +128,12 @@ def _normalized(values: np.ndarray) -> np.ndarray:
     norm = math.sqrt(float(values @ values))
     return values / norm if norm > 0.0 else values
 
+
+# Distinct tokens whose seven window-feature hashes `ensemble.window_features`
+# keeps. Sentence words follow a Zipfian law, so a few thousand frequent
+# tokens (and the edge padding) make most of every sentence. An entry holds
+# the token and its 56 bytes of digests; full, the memo holds about 3.3 MB.
+WINDOW_DIGEST_MEMO_SIZE = 2**14
 
 # Distinct WIKI runs whose feature hashes featurize keeps. A lead is the same
 # for every mention linked to its document, so its run recurs; the other
@@ -228,6 +261,20 @@ def _head_logits(W: np.ndarray, b: np.ndarray, x: SparseVector) -> np.ndarray:
     if x.nnz == 0:
         return b.copy()
     return W[:, x.indices] @ x.values + b
+
+
+def _rows_logits(W: np.ndarray, b: np.ndarray, rows: SparseRows) -> np.ndarray:
+    """One logit row per feature row, each with the bytes `_head_logits`
+    gives that row: the weights of every row's features are gathered
+    at once, then each row is the same BLAS matrix-vector product over
+    its slice of them, written in place. Every row must have a feature."""
+    logits = np.empty((len(rows), len(b)))
+    gathered = W[:, rows.indices]
+    bounds = rows.indptr.tolist()
+    for row, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        np.dot(gathered[:, lo:hi], rows.values[lo:hi], out=logits[row])
+    logits += b
+    return logits
 
 
 def forward(model: MentionClassifier, features: SparseVector) -> tuple[np.ndarray | None, np.ndarray]:

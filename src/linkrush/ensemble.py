@@ -5,12 +5,17 @@ short ones are handed to the entity-linking path, which brings external
 page text to bear. The per-token baseline, the window tagger, is a
 single-head `MentionClassifier` (six types plus non-entity) over hashed
 features of a ±3 token window; it is stored like the mention classifier,
-under its own header kind. `window_features` hashes every window of a
-sentence in one pass, with the hash and normalization of `classifier`.
+under its own header kind. `window_features` turns a sentence into one
+`SparseRows` (CSR) of its windows' features, with the hash of
+`classifier`: each token's seven keys are hashed once into a bounded
+memo, the sentence's keys are counted by one `np.unique`, and the rows
+are normalized together. `tag_baseline` scores all rows with one weight
+gather, so a long sentence is tagged a sentence at a time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -19,11 +24,14 @@ import numpy as np
 
 from .classifier import (
     DEFAULT_FEATURE_DIM,
+    ENTITY_TYPES,
     OTHER_CLASS,
     TYPE_INDEX,
+    WINDOW_DIGEST_MEMO_SIZE,
     EntityType,
     GateDecision,
     MentionClassifier,
+    SparseRows,
     SparseVector,
     TrainExample,
     TrainingConfig,
@@ -31,9 +39,7 @@ from .classifier import (
     _check_dim,
     _feature_digests,
     _fit,
-    _head_logits,
-    _normalized,
-    decide,
+    _rows_logits,
     load_window_tagger,
     predict,
     save_window_tagger,
@@ -77,32 +83,44 @@ def route(tokens: Sequence[str], config: RouterConfig) -> Route:
     return Route.ENTITY_LINKING
 
 
-def window_features(tokens: Sequence[str], feature_dim: int) -> list[SparseVector]:
-    """Per position, hashed unigram features of the tokens at offsets
-    -3..+3, edge-padded, L2-normalized. All 7·n keys are hashed in one
-    call; each masked hash carries its position in the bits above
-    `feature_dim`, so one `np.unique` counts them in position order.
-    Raises ValueError unless len(tokens) · feature_dim fits in 64 bits."""
+@functools.lru_cache(maxsize=WINDOW_DIGEST_MEMO_SIZE)
+def _window_digests(token: str) -> bytes:
+    """The 64-bit hashes of a token's keys `w{offset:+d}` U+001F token,
+    offsets -3..+3 in order, as 7 · 8 little-endian bytes."""
+    return _feature_digests(
+        [f"w{offset:+d}{_KEY_SEP}{token}" for offset in range(-WINDOW_RADIUS, WINDOW_RADIUS + 1)]
+    ).tobytes()
+
+
+def window_features(tokens: Sequence[str], feature_dim: int) -> SparseRows:
+    """Row i: hashed unigram features of the tokens at offsets -3..+3
+    around position i, edge-padded, L2-normalized.
+
+    A token's seven hashes come from `_window_digests`, a memo of at most
+    WINDOW_DIGEST_MEMO_SIZE tokens, least recently used first out. Each
+    masked hash carries its position in the bits above `feature_dim`, so
+    one `np.unique` counts the whole sentence in row order. The counts
+    are small integers, so every row's sum of squares is exact and its
+    norm is the one `_normalized` takes. Raises ValueError unless
+    len(tokens) · feature_dim fits in 64 bits."""
     _check_dim(feature_dim)
     n = len(tokens)
     if n * feature_dim > 2**64:
         raise ValueError(f"{n} positions of feature_dim {feature_dim} do not fit in 64 bits")
     padded = [_EDGE_TOKEN] * WINDOW_RADIUS + list(tokens) + [_EDGE_TOKEN] * WINDOW_RADIUS
-    keys: list[str] = []
-    for j, offset in enumerate(range(-WINDOW_RADIUS, WINDOW_RADIUS + 1)):
-        prefix = f"w{offset:+d}{_KEY_SEP}"
-        keys += [prefix + token for token in padded[j : j + n]]
+    width = 2 * WINDOW_RADIUS + 1
+    digests = np.frombuffer(b"".join(map(_window_digests, padded)), dtype="<u8")
+    # keys[i, j], position i's key at offset index j, is the j-th hash of
+    # padded token i + j: digests[(i + j) · width + j].
+    keys = digests[np.add.outer(width * np.arange(n), (width + 1) * np.arange(width))]
     mask, shift = np.uint64(feature_dim - 1), np.uint64(feature_dim.bit_length() - 1)
-    positions = np.tile(np.arange(n, dtype=np.uint64), 2 * WINDOW_RADIUS + 1)
-    keyed, counts = np.unique(
-        (positions << shift) | (_feature_digests(keys) & mask), return_counts=True
-    )
-    bounds = np.searchsorted(keyed >> shift, np.arange(n + 1, dtype=np.uint64)).tolist()
-    indices, values = (keyed & mask).astype(np.int64), counts.astype(np.float64)
-    return [
-        SparseVector(indices[lo:hi], _normalized(values[lo:hi]))
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    positions = np.arange(n, dtype=np.uint64)[:, None]
+    keyed, counts = np.unique((positions << shift) | (keys & mask), return_counts=True)
+    indptr = np.searchsorted(keyed >> shift, np.arange(n + 1, dtype=np.uint64))
+    values = counts.astype(np.float64)
+    norms = np.sqrt(np.add.reduceat(values * values, indptr[:-1]))
+    values /= np.repeat(norms, np.diff(indptr))
+    return SparseRows(indptr, (keyed & mask).astype(np.int64), values)
 
 
 def train_baseline(
@@ -182,22 +200,26 @@ def build_training_examples(
     return examples
 
 
+# The raw tag of each class of the window tagger, OTHER_CLASS last.
+_RAW_TAGS = tuple(f"I-{etype.value}" for etype in ENTITY_TYPES) + ("O",)
+
+
 def tag_baseline(
     tokens: Sequence[str], sentence_id: str, tagger: MentionClassifier
 ) -> TaggedSentence:
     """Tag every token independently, then repair the BIO chain.
 
     The raw per-token outputs are type-only (I-X or O); repair turns each
-    run's first tag into B-X. The class is `decide` over the single
-    head's logits: their argmax, ties toward the lower index.
+    run's first tag into B-X. A token's class is the argmax of the single
+    head's logits, ties toward the lower index as in `decide`; all of a
+    sentence's rows are scored by one `_rows_logits` call.
     """
     if not tagger.single_head:
         raise ValueError("the window tagger must be a single-head model")
     normalized = [normalize_token(t, turkish=tagger.turkish) for t in tokens]
-    raw: list[str] = []
-    for x in window_features(normalized, tagger.feature_dim):
-        etype = decide(None, _head_logits(tagger.W_type, tagger.b_type, x))
-        raw.append("O" if etype is None else f"I-{etype.value}")
+    rows = window_features(normalized, tagger.feature_dim)
+    best = np.argmax(_rows_logits(tagger.W_type, tagger.b_type, rows), axis=1)
+    raw = [_RAW_TAGS[c] for c in best.tolist()]
     return TaggedSentence(sentence_id, tuple(tokens), tuple(bio_repair(raw)))
 
 

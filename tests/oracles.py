@@ -24,6 +24,11 @@ and `oracle_window_features` one position's window; `featurize` and
 `ensemble.window_features` must return exactly the same indices and
 value bytes.
 
+Window tagging: `oracle_tag_baseline` scores one token at a time, the
+loop that scoring a sentence's rows at once replaced: each position's
+`oracle_window_features` through `_head_logits` and `decide`.
+`ensemble.tag_baseline` must return exactly the same tags.
+
 Tokenizing: the character loop that the one-regex tokenizer replaced.
 `tokenize` must return exactly the same tokens.
 
@@ -55,8 +60,11 @@ from linkrush.classifier import (
     SparseVector,
     _check_dim,
     _example_gradients,
+    _head_logits,
+    decide,
 )
 from linkrush.corpus import IndexedDocument
+from linkrush.evaluation import TaggedSentence, bio_repair
 from linkrush.index import (
     B,
     FIELD_NAMES,
@@ -78,7 +86,7 @@ from linkrush.storage import (
     read_container,
     write_container,
 )
-from linkrush.tokenizer import fold_case, tokenize
+from linkrush.tokenizer import fold_case, normalize_token, tokenize
 
 _APOSTROPHES = frozenset("'’")
 
@@ -170,6 +178,20 @@ def oracle_window_features(tokens: Sequence[str], position: int, feature_dim: in
         idx = hash_feature((f"w{offset:+d}", token), feature_dim)
         counts[idx] = counts.get(idx, 0.0) + 1.0
     return sparse_from_counts(counts)
+
+
+def oracle_tag_baseline(
+    tokens: Sequence[str], sentence_id: str, tagger: MentionClassifier
+) -> TaggedSentence:
+    """Fold each token as the tagger does, then one `_head_logits` and one
+    `decide` per position; type-only tags, BIO-repaired."""
+    normalized = [normalize_token(t, turkish=tagger.turkish) for t in tokens]
+    raw: list[str] = []
+    for position in range(len(normalized)):
+        x = oracle_window_features(normalized, position, tagger.feature_dim)
+        etype = decide(None, _head_logits(tagger.W_type, tagger.b_type, x))
+        raw.append("O" if etype is None else f"I-{etype.value}")
+    return TaggedSentence(sentence_id, tuple(tokens), tuple(bio_repair(raw)))
 
 
 def oracle_featurize(rep: Representation, feature_dim: int) -> SparseVector:

@@ -4,9 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracles import oracle_window_features
+from oracles import oracle_tag_baseline, oracle_window_features
 
-from linkrush.classifier import GateDecision, TrainingConfig
+from linkrush import ensemble
+from linkrush.classifier import (
+    WINDOW_DIGEST_MEMO_SIZE,
+    GateDecision,
+    MentionClassifier,
+    SparseVector,
+    TrainingConfig,
+    _head_logits,
+    _rows_logits,
+)
 from linkrush.ensemble import (
     Route,
     RouterConfig,
@@ -90,6 +99,7 @@ class TestWindowFeatures:
 def assert_rows_equal_oracle(tokens, dim):
     rows = window_features(tokens, dim)
     assert len(rows) == len(tokens)
+    assert rows.indptr[0] == 0 and rows.indptr[-1] == len(rows.indices) == len(rows.values)
     for position, got in enumerate(rows):
         want = oracle_window_features(tokens, position, dim)
         assert got.indices.dtype == want.indices.dtype == np.int64
@@ -119,7 +129,20 @@ class TestWindowFeaturesMatchOracle:
         for tokens in ([], ["solo"], turkish, ["zürich", "東京", "naïve", "é"], ["a"] * 9):
             for dim in (2**18, 8, 2):
                 assert_rows_equal_oracle(tokens, dim)
-        assert window_features([], DIM) == []
+        empty = window_features([], DIM)
+        assert len(empty) == 0 and list(empty) == []
+        assert empty.indptr.tolist() == [0]
+        assert empty.indices.size == empty.values.size == 0
+
+    def test_rows_index_like_a_sequence(self):
+        rows = window_features(["a", "b", "c"], DIM)
+        listed = list(rows)
+        for position in (0, 1, 2, -1, -3):
+            assert rows[position].indices.tobytes() == listed[position].indices.tobytes()
+            assert rows[position].values.tobytes() == listed[position].values.tobytes()
+        for position in (3, -4):
+            with pytest.raises(IndexError):
+                rows[position]
 
     def test_row_numbers_must_fit_in_64_bits(self):
         assert len(window_features(["a"], 2**64)) == 1
@@ -131,6 +154,114 @@ class TestWindowFeaturesMatchOracle:
     def test_dim_must_be_a_power_of_two(self):
         with pytest.raises(ValueError):
             window_features(["a"], 12)
+
+
+SENTENCE_VOCAB = [f"w{i}" for i in range(40)] + ["[EDGE]", "the", "the", "İSTANBUL", "Oslo"]
+
+
+def seeded_sentences(seed, count):
+    """Token lists of 1-30 tokens drawn from SENTENCE_VOCAB."""
+    rng = np.random.default_rng(seed)
+    sentences = []
+    for _ in range(count):
+        n = int(rng.integers(1, 31))
+        sentences.append([SENTENCE_VOCAB[int(i)] for i in rng.integers(0, len(SENTENCE_VOCAB), size=n)])
+    return sentences
+
+
+def random_taggers(dim, seed):
+    """Single-head models with Gaussian weights, and with weights in
+    {-1, 0, 1} and a zero bias, whose logits tie often at small dims;
+    the second folds case the Turkish way."""
+    rng = np.random.default_rng(seed)
+    gaussian = MentionClassifier.zeros(dim, single_head=True)
+    gaussian.W_type = rng.standard_normal(gaussian.W_type.shape)
+    gaussian.b_type = rng.standard_normal(gaussian.b_type.shape)
+    ternary = MentionClassifier.zeros(dim, single_head=True)
+    ternary.W_type = rng.integers(-1, 2, size=ternary.W_type.shape).astype(np.float64)
+    ternary.turkish = True
+    return gaussian, ternary
+
+
+def person_tagger():
+    """A window tagger whose bias alone makes every token a PER."""
+    tagger = MentionClassifier.zeros(DIM, single_head=True)
+    tagger.b_type[0] = 1.0
+    return tagger
+
+
+class TestTagBaselineMatchesOracle:
+    """`tag_baseline` scores a sentence's rows at once; the per-token
+    loop of `oracles.oracle_tag_baseline` must give the same tags, and
+    each row's logits must have the bytes `_head_logits` gives it."""
+
+    def test_seeded_sentences(self):
+        sentences = seeded_sentences(21, 60)
+        for dim in (2**18, 8, 2):
+            for tagger in random_taggers(dim, dim):
+                for i, tokens in enumerate(sentences):
+                    got = tag_baseline(tokens, f"s{i}", tagger)
+                    assert got == oracle_tag_baseline(tokens, f"s{i}", tagger)
+
+    def test_row_logits_equal_per_row_logits(self):
+        sentences = seeded_sentences(22, 60)
+        for dim in (2**18, 8, 2):
+            for tagger in random_taggers(dim, dim + 1):
+                W, b = tagger.W_type, tagger.b_type
+                for tokens in sentences:
+                    rows = window_features(tokens, dim)
+                    logits = _rows_logits(W, b, rows)
+                    assert logits.shape == (len(tokens), len(b))
+                    for got, row in zip(logits, rows):
+                        assert got.tobytes() == _head_logits(W, b, row).tobytes()
+
+    def test_no_rows_no_logits(self):
+        tagger = random_taggers(DIM, 0)[0]
+        logits = _rows_logits(tagger.W_type, tagger.b_type, window_features([], DIM))
+        assert logits.shape == (0, len(tagger.b_type))
+
+
+class TestWindowDigestMemo:
+    def test_cold_and_warm_give_the_same_bytes(self):
+        sentences = seeded_sentences(23, 20)
+        ensemble._window_digests.cache_clear()
+        cold = [window_features(tokens, 2**18) for tokens in sentences]
+        assert ensemble._window_digests.cache_info().hits > 0
+        warm = [window_features(tokens, 2**18) for tokens in sentences]
+        for a, b in zip(cold, warm):
+            for name in ("indptr", "indices", "values"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_bounded_by_the_named_size(self):
+        assert ensemble._window_digests.cache_info().maxsize == WINDOW_DIGEST_MEMO_SIZE
+
+    def test_repeated_token_is_hashed_once(self, monkeypatch):
+        hashed = []
+
+        def counting(keys):
+            hashed.append(keys[0].split("\x1f", 1)[1])
+            return real(keys)
+
+        real = ensemble._feature_digests
+        ensemble._window_digests.cache_clear()
+        monkeypatch.setattr(ensemble, "_feature_digests", counting)
+        rows = window_features(["x", "y", "x", "x"], DIM)
+        assert sorted(hashed) == ["[EDGE]", "x", "y"]
+        for position, row in enumerate(rows):
+            want = oracle_window_features(["x", "y", "x", "x"], position, DIM)
+            assert row.indices.tobytes() == want.indices.tobytes()
+            assert row.values.tobytes() == want.values.tobytes()
+
+    def test_literal_edge_token_hashes_like_padding(self):
+        # Position 0 of ["x", "[EDGE]"] sees the same seven tokens as
+        # position 0 of ["x"], whose right neighbour is padding.
+        for dim in (2**18, 8):
+            padded = window_features(["x"], dim)[0]
+            literal = window_features(["x", "[EDGE]"], dim)[0]
+            assert literal.indices.tobytes() == padded.indices.tobytes()
+            assert literal.values.tobytes() == padded.values.tobytes()
+            want = oracle_window_features(["x", "[EDGE]"], 0, dim)
+            assert literal.indices.tobytes() == want.indices.tobytes()
 
 
 def per_token_fixture():
@@ -171,6 +302,33 @@ class TestWindowTagger:
         tagger = train_baseline(sentences, TrainingConfig(epochs=5), feature_dim=DIM)
         tagged = tag_baseline(["quartz", "quartz", "quartz", "oslo", "oslo"], "x", tagger)
         assert list(tagged.tags) == bio_repair(list(tagged.tags))
+
+    def test_empty_and_one_token_sentences(self):
+        tagger = train_baseline(per_token_fixture(), TrainingConfig(epochs=120), feature_dim=DIM)
+        assert tag_baseline([], "e", tagger) == TaggedSentence("e", (), ())
+        for token in ("anna", "oslo", "zzz"):
+            assert tag_baseline([token], "one", tagger) == oracle_tag_baseline([token], "one", tagger)
+        assert tag_baseline(["anna"], "one", person_tagger()).tags == ("B-PER",)
+
+    def test_one_window_features_call_and_no_vector_per_sentence(self, monkeypatch):
+        tagger = train_baseline(per_token_fixture(), TrainingConfig(epochs=5), feature_dim=DIM)
+        calls = {"window_features": 0, "SparseVector": 0}
+
+        def counting_window_features(*args):
+            calls["window_features"] += 1
+            return real_window_features(*args)
+
+        def counting_init(self, *args):
+            calls["SparseVector"] += 1
+            real_init(self, *args)
+
+        real_window_features, real_init = ensemble.window_features, SparseVector.__init__
+        monkeypatch.setattr(ensemble, "window_features", counting_window_features)
+        monkeypatch.setattr(SparseVector, "__init__", counting_init)
+        sentences = per_token_fixture()
+        for sentence in sentences:
+            tag_baseline(sentence.tokens, sentence.sentence_id, tagger)
+        assert calls == {"window_features": len(sentences), "SparseVector": 0}
 
     def test_empty_training_rejected(self):
         with pytest.raises(ValueError):
@@ -289,6 +447,13 @@ class TestTagDispatch:
         tokens = ["anna"] + ["filler"] * 11  # 12 tokens -> length route
         tagged = tag(tokens, "x", RouterConfig(11), fixture_index, trained_model, tagger)
         assert tagged.tags[0] == "B-PER"
+
+    def test_threshold_zero_tags_one_token_with_baseline(self, fixture_index, trained_model):
+        tagger = person_tagger()
+        # "anna" is unknown to the index, so only the baseline tags it.
+        tagged = tag(["anna"], "x", RouterConfig(threshold=0), fixture_index, trained_model, tagger)
+        assert tagged.tags == ("B-PER",)
+        assert tag(["anna"], "x", RouterConfig(11), fixture_index, trained_model, tagger).tags == ("O",)
 
     def test_short_sentence_uses_linking(self, fixture_index, trained_model):
         tagger = train_baseline(per_token_fixture(), TrainingConfig(epochs=120), feature_dim=DIM)
