@@ -15,10 +15,24 @@ Features are hashed (Weinberger et al., 2009) by `_feature_digests`, for
 (CSR), normalized row by row to the same bytes, and `_rows_logits`
 scores all of its rows with one weight gather.
 
-Both kinds of model share one file layout: a JSON header line, then the
-weight arrays as little-endian float64. The header's `kind` keeps a
-mention classifier from loading as a window tagger and the reverse, and
-the reader validates every header field before it touches the weights.
+A model's weights are read through `columns`, a map from each of the
+`feature_dim` features to the column of `W_bin`/`W_type` that holds its
+weights. A model fresh from `zeros` or training is dense and its map is
+the identity. A saved model keeps only its touched columns (those where
+some head holds a weight whose bits are not all zero), so a loaded model
+is compact: those columns plus one trailing zero column that every
+untouched feature maps to. `_head_logits` and `_rows_logits` gather
+through the map, so both kinds give the dense gather's values, in the
+same shapes, and the same logit bytes.
+
+Both kinds of model share one file layout (model format 2): a JSON
+header line, then the ids of the touched columns as little-endian int32,
+strictly increasing, then only those columns of each weight matrix and
+the biases as little-endian float64. The header's `kind` keeps a mention
+classifier from loading as a window tagger and the reverse; its `crc32`
+is the CRC-32 of the header's canonical JSON without that key followed
+by the array bytes. The reader validates every header field before it
+touches the arrays, then the checksum, then the column ids.
 """
 
 from __future__ import annotations
@@ -26,6 +40,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import zlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -211,6 +226,9 @@ class MentionClassifier:
 
     `turkish` is the case folding a window tagger applies to the tokens
     it tags; the mention classifier reads already-folded representations.
+    `columns` (int32, one entry per feature) gives the column of `W_bin`
+    and `W_type` that holds each feature's weights; left out, the model
+    is dense and the map is the identity.
     """
 
     feature_dim: int
@@ -221,6 +239,11 @@ class MentionClassifier:
     b_type: np.ndarray
     epoch_losses: list[float] | None = None
     turkish: bool = False
+    columns: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.columns is None:
+            self.columns = np.arange(self.feature_dim, dtype=np.int32)
 
     @classmethod
     def zeros(cls, feature_dim: int, *, single_head: bool = False) -> "MentionClassifier":
@@ -257,19 +280,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum()
 
 
-def _head_logits(W: np.ndarray, b: np.ndarray, x: SparseVector) -> np.ndarray:
+def _head_logits(
+    W: np.ndarray, b: np.ndarray, columns: np.ndarray, x: SparseVector
+) -> np.ndarray:
+    """W's weights of x's features, gathered through `columns`, times
+    x's values, plus b."""
     if x.nnz == 0:
         return b.copy()
-    return W[:, x.indices] @ x.values + b
+    return W[:, columns[x.indices]] @ x.values + b
 
 
-def _rows_logits(W: np.ndarray, b: np.ndarray, rows: SparseRows) -> np.ndarray:
+def _rows_logits(
+    W: np.ndarray, b: np.ndarray, columns: np.ndarray, rows: SparseRows
+) -> np.ndarray:
     """One logit row per feature row, each with the bytes `_head_logits`
     gives that row: the weights of every row's features are gathered
     at once, then each row is the same BLAS matrix-vector product over
     its slice of them, written in place. Every row must have a feature."""
     logits = np.empty((len(rows), len(b)))
-    gathered = W[:, rows.indices]
+    gathered = W[:, columns[rows.indices]]
     bounds = rows.indptr.tolist()
     for row, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         np.dot(gathered[:, lo:hi], rows.values[lo:hi], out=logits[row])
@@ -285,10 +314,10 @@ def forward(model: MentionClassifier, features: SparseVector) -> tuple[np.ndarra
     """
     if features.nnz and int(features.indices[-1]) >= model.feature_dim:
         raise ValueError("feature index exceeds model dimension")
-    p_type = softmax(_head_logits(model.W_type, model.b_type, features))
+    p_type = softmax(_head_logits(model.W_type, model.b_type, model.columns, features))
     if model.single_head:
         return None, p_type
-    p_bin = softmax(_head_logits(model.W_bin, model.b_bin, features))
+    p_bin = softmax(_head_logits(model.W_bin, model.b_bin, model.columns, features))
     return p_bin, p_type
 
 
@@ -375,7 +404,10 @@ def _fit(
     labels: Sequence[object],
     config: TrainingConfig,
 ) -> list[float]:
-    """Shared descent loop; also used by the per-token window tagger."""
+    """Shared descent loop; also used by the per-token window tagger. It
+    updates the weights of a dense model (one column per feature) in place."""
+    if not np.array_equal(model.columns, np.arange(model.feature_dim)):
+        raise ValueError("only a dense model can be trained; a loaded model is compact")
     rng = np.random.default_rng(config.seed)
     n = len(features)
     epoch_losses: list[float] = []
@@ -425,7 +457,7 @@ def predict(model: MentionClassifier, rep: Representation) -> EntityType | None:
 _KIND_MENTION = "mention_classifier"
 _KIND_WINDOW = "window_tagger"
 _HEADER_KEYS = frozenset(
-    {"arrays", "epoch_losses", "feature_dim", "kind", "single_head", "turkish"}
+    {"arrays", "crc32", "epoch_losses", "feature_dim", "kind", "single_head", "turkish"}
 )
 
 
@@ -445,19 +477,35 @@ def load_window_tagger(path: str | Path) -> MentionClassifier:
     return _read_model(path, _KIND_WINDOW)
 
 
-def _array_layout(single_head: bool, feature_dim: int) -> list[list]:
-    """[name, shape] of each stored array, in file order."""
+def _array_layout(single_head: bool, touched: int) -> list[list]:
+    """[name, dtype, shape] of each stored array, in file order, for a
+    model of `touched` stored columns."""
     n_types = len(ENTITY_TYPES) + (1 if single_head else 0)
-    layout = [["W_type", [n_types, feature_dim]], ["b_type", [n_types]]]
+    layout = [["touched", "<i4", [touched]]]
     if not single_head:
-        layout = [["W_bin", [2, feature_dim]], ["b_bin", [2]]] + layout
-    return layout
+        layout += [["W_bin", "<f8", [2, touched]], ["b_bin", "<f8", [2]]]
+    return layout + [["W_type", "<f8", [n_types, touched]], ["b_type", "<f8", [n_types]]]
 
 
 def _write_model(model: MentionClassifier, path: str | Path, kind: str) -> None:
     if kind == _KIND_WINDOW and not model.single_head:
         raise ValueError("a window tagger must be a single-head model")
-    layout = _array_layout(model.single_head, model.feature_dim)
+    heads = [model.W_type] if model.single_head else [model.W_bin, model.W_type]
+    # A column is touched when some head holds a nonzero bit pattern in
+    # it, so a -0.0 is kept; an untouched column is all +0.0.
+    nonzero = np.zeros(model.W_type.shape[1], dtype=bool)
+    for W in heads:
+        nonzero |= (np.asarray(W, dtype="<f8").view("<u8") != 0).any(axis=0)
+    touched = np.flatnonzero(nonzero[model.columns])
+    stored = model.columns[touched]
+    layout = _array_layout(model.single_head, len(touched))
+    values = {"touched": touched}
+    for name, _, shape in layout[1:]:
+        array = getattr(model, name)
+        values[name] = array[:, stored] if len(shape) == 2 else array
+    arrays = b"".join(
+        np.ascontiguousarray(values[name], dtype=dtype).tobytes() for name, dtype, _ in layout
+    )
     header = {
         "kind": kind,
         "feature_dim": model.feature_dim,
@@ -466,13 +514,13 @@ def _write_model(model: MentionClassifier, path: str | Path, kind: str) -> None:
         "epoch_losses": model.epoch_losses,
         "arrays": layout,
     }
-    weights = b"".join(
-        np.ascontiguousarray(getattr(model, name), dtype="<f8").tobytes() for name, _ in layout
-    )
-    write_container(path, MAGIC_MODEL, dump_json(header) + b"\n" + weights)
+    header["crc32"] = zlib.crc32(arrays, zlib.crc32(dump_json(header)))
+    write_container(path, MAGIC_MODEL, dump_json(header) + b"\n" + arrays)
 
 
 def _read_model(path: str | Path, kind: str) -> MentionClassifier:
+    """A compact model: the stored columns plus one trailing zero column,
+    and a map sending every untouched feature to that zero column."""
     payload = read_container(path, MAGIC_MODEL)
     sep = payload.find(b"\n")
     if sep < 0:
@@ -480,18 +528,35 @@ def _read_model(path: str | Path, kind: str) -> MentionClassifier:
     header = load_json(payload[:sep], path)
     layout = _validate_header(header, kind, path)
     arrays = read_arrays(
-        payload, sep + 1, [(name, "<f8", math.prod(shape)) for name, shape in layout], path
+        payload, sep + 1, [(name, dtype, math.prod(shape)) for name, dtype, shape in layout], path
     )
-    values = {name: arrays[name].reshape(shape).copy() for name, shape in layout}
+    crc = header.pop("crc32")
+    if zlib.crc32(memoryview(payload)[sep + 1 :], zlib.crc32(dump_json(header))) != crc:
+        raise DataFormatError(f"{path}: checksum mismatch: the model file is corrupt")
+    dim, touched = header["feature_dim"], arrays["touched"]
+    if len(touched) and (touched[0] < 0 or touched[-1] >= dim or (np.diff(touched) <= 0).any()):
+        raise DataFormatError(
+            f"{path}: touched column ids must increase strictly within [0, {dim})"
+        )
+    columns = np.full(dim, len(touched), dtype=np.int32)
+    columns[touched] = np.arange(len(touched), dtype=np.int32)
+    weights = {}
+    for name, _, shape in layout[1:]:
+        if len(shape) == 2:
+            weights[name] = np.zeros((shape[0], shape[1] + 1))
+            weights[name][:, :-1] = arrays[name].reshape(shape)
+        else:
+            weights[name] = arrays[name].copy()
     return MentionClassifier(
-        feature_dim=header["feature_dim"],
+        feature_dim=dim,
         single_head=header["single_head"],
-        W_bin=values.get("W_bin"),
-        b_bin=values.get("b_bin"),
-        W_type=values["W_type"],
-        b_type=values["b_type"],
+        W_bin=weights.get("W_bin"),
+        b_bin=weights.get("b_bin"),
+        W_type=weights["W_type"],
+        b_type=weights["b_type"],
         epoch_losses=header["epoch_losses"],
         turkish=header["turkish"],
+        columns=columns,
     )
 
 
@@ -512,6 +577,8 @@ def _validate_header(header: object, kind: str, path: str | Path) -> list[list]:
     for key in ("single_head", "turkish"):
         if type(header[key]) is not bool:
             raise DataFormatError(f"{path}: {key} must be true or false, got {header[key]!r}")
+    if type(header["crc32"]) is not int:
+        raise DataFormatError(f"{path}: crc32 must be an integer, got {header['crc32']!r}")
     losses = header["epoch_losses"]
     if losses is not None and not (
         isinstance(losses, list) and all(type(v) in (int, float) for v in losses)
@@ -519,10 +586,19 @@ def _validate_header(header: object, kind: str, path: str | Path) -> list[list]:
         raise DataFormatError(f"{path}: epoch_losses must be a list of numbers or null")
     if kind == _KIND_WINDOW and not header["single_head"]:
         raise DataFormatError(f"{path}: a window tagger must be a single-head model")
-    layout = _array_layout(header["single_head"], dim)
-    if header["arrays"] != layout:
+    arrays = header["arrays"]
+    try:
+        touched = arrays[0][2][0]  # the count of the leading `touched` ids
+    except (IndexError, KeyError, TypeError):
+        touched = None
+    if type(touched) is not int or not 0 <= touched <= dim:
         raise DataFormatError(
-            f"{path}: arrays {header['arrays']!r} do not match the "
+            f"{path}: arrays must start with the ids of at most {dim} touched columns"
+        )
+    layout = _array_layout(header["single_head"], touched)
+    if arrays != layout:
+        raise DataFormatError(
+            f"{path}: arrays {arrays!r} do not match the "
             f"{'single' if header['single_head'] else 'two'}-head layout {layout!r}"
         )
     return layout

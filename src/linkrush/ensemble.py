@@ -218,7 +218,7 @@ def tag_baseline(
         raise ValueError("the window tagger must be a single-head model")
     normalized = [normalize_token(t, turkish=tagger.turkish) for t in tokens]
     rows = window_features(normalized, tagger.feature_dim)
-    best = np.argmax(_rows_logits(tagger.W_type, tagger.b_type, rows), axis=1)
+    best = np.argmax(_rows_logits(tagger.W_type, tagger.b_type, tagger.columns, rows), axis=1)
     raw = [_RAW_TAGS[c] for c in best.tolist()]
     return TaggedSentence(sentence_id, tuple(tokens), tuple(bio_repair(raw)))
 

@@ -37,8 +37,11 @@ The header also holds `turkish`, each field's `terms` in row order, the
 `titles`, each document's `referred_by` phrases, and `crc32`, the CRC-32
 of the header's canonical JSON without that key followed by the array
 bytes. Impacts, `avg_doc_length` and `doc_count` are not stored: load
-derives them from the columns as build does. The build-only text
-(all_text, interwikies) is not stored either; the corpus file keeps it.
+derives them from the columns as build does, in place. The build-only
+text (all_text, interwikies) is not stored either; the corpus file keeps
+it. A loaded index's columns are read-only views of the one buffer its
+file was read into, and its leads are decoded from that buffer without
+a copy of the section.
 """
 
 from __future__ import annotations
@@ -157,18 +160,30 @@ class FieldIndex:
         if (tfs > posting_lengths).any():
             raise bad("a term frequency exceeds its document's length")
 
-        # Same operations, in the same order, as scoring one posting at a
-        # time: idf through math.log, then idf * tf*(k1+1) / (tf + k1*norm).
-        # The idf depends on df alone, so it is computed once per value.
+        # Same operations on the same operands, in the same order, as
+        # scoring one posting at a time: idf through math.log, norm =
+        # 1 - b + b*dl/avgdl, then idf * (tf*(k1+1) / (tf + k1*norm)). The
+        # idf depends on df alone, so it is computed once per value. The
+        # steps run in place (IEEE + and * commute, so the bytes are the
+        # same): two postings-sized float arrays live at once, not five.
         avg_doc_length = int(lengths.sum()) / doc_count
         dfs = np.diff(offsets)
         df_values, df_index = np.unique(dfs, return_inverse=True)
         idf = np.array(
             [math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5)) for df in df_values.tolist()]
         )
-        tf = tfs.astype(np.float64)
-        norm = 1.0 - B + B * posting_lengths / avg_doc_length
-        impacts = np.repeat(idf[df_index], dfs) * (tf * (K1 + 1.0) / (tf + K1 * norm))
+        norm = B * posting_lengths
+        del posting_lengths
+        norm /= avg_doc_length
+        norm += 1.0 - B
+        norm *= K1
+        tf_part = tfs.astype(np.float64)
+        norm += tf_part
+        tf_part *= K1 + 1.0
+        tf_part /= norm
+        del norm
+        impacts = np.repeat(idf[df_index], dfs)
+        impacts *= tf_part
         return cls(
             field_name=field_name,
             term_rows=term_rows,
@@ -519,12 +534,12 @@ def _decode_leads(
         raise DataFormatError(
             f"{path}: lead_offsets must run from 0 to {len(section)} over {doc_count} leads"
         )
-    text = section.tobytes()
+    text = memoryview(section)  # decoded in place: a bytes copy would outlive the load
     bounds = offsets.tolist()
     leads = []
     for position, (start, end) in enumerate(zip(bounds, bounds[1:])):
         try:
-            leads.append(text[start:end].decode("utf-8"))
+            leads.append(str(text[start:end], "utf-8"))
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: lead {position} is not valid UTF-8: {exc}") from None
     return leads

@@ -26,8 +26,14 @@ value bytes.
 
 Window tagging: `oracle_tag_baseline` scores one token at a time, the
 loop that scoring a sentence's rows at once replaced: each position's
-`oracle_window_features` through `_head_logits` and `decide`.
+`oracle_window_features` through `oracle_head_logits` and `decide`.
 `ensemble.tag_baseline` must return exactly the same tags.
+
+Dense weights: `dense_model` expands a model's weights to one column per
+feature, as model format 1 stored them, and `oracle_head_logits` is the
+dense gather `W[:, idx] @ v + b` that the gather through a compact
+model's column map replaced. `_head_logits` and `_rows_logits` must give
+exactly the same logit bytes.
 
 Tokenizing: the character loop that the one-regex tokenizer replaced.
 `tokenize` must return exactly the same tokens.
@@ -46,6 +52,7 @@ malformed-file tests edit).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import zlib
@@ -60,7 +67,6 @@ from linkrush.classifier import (
     SparseVector,
     _check_dim,
     _example_gradients,
-    _head_logits,
     decide,
 )
 from linkrush.corpus import IndexedDocument
@@ -180,16 +186,35 @@ def oracle_window_features(tokens: Sequence[str], position: int, feature_dim: in
     return sparse_from_counts(counts)
 
 
+def dense_model(model: MentionClassifier) -> MentionClassifier:
+    """The model with one weight column per feature (its column map the
+    identity): each feature's column read through the model's map."""
+    W_bin = None if model.W_bin is None else model.W_bin[:, model.columns]
+    return dataclasses.replace(
+        model, W_bin=W_bin, W_type=model.W_type[:, model.columns], columns=None
+    )
+
+
+def oracle_head_logits(W: np.ndarray, b: np.ndarray, x: SparseVector) -> np.ndarray:
+    """The dense gather: W (one column per feature) at x's features, times
+    x's values, plus b."""
+    if x.nnz == 0:
+        return b.copy()
+    return W[:, x.indices] @ x.values + b
+
+
 def oracle_tag_baseline(
     tokens: Sequence[str], sentence_id: str, tagger: MentionClassifier
 ) -> TaggedSentence:
-    """Fold each token as the tagger does, then one `_head_logits` and one
-    `decide` per position; type-only tags, BIO-repaired."""
+    """Fold each token as the tagger does, then one dense
+    `oracle_head_logits` and one `decide` per position; type-only tags,
+    BIO-repaired."""
+    dense = dense_model(tagger)
     normalized = [normalize_token(t, turkish=tagger.turkish) for t in tokens]
     raw: list[str] = []
     for position in range(len(normalized)):
         x = oracle_window_features(normalized, position, tagger.feature_dim)
-        etype = decide(None, _head_logits(tagger.W_type, tagger.b_type, x))
+        etype = decide(None, oracle_head_logits(dense.W_type, dense.b_type, x))
         raw.append("O" if etype is None else f"I-{etype.value}")
     return TaggedSentence(sentence_id, tuple(tokens), tuple(bio_repair(raw)))
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import conftest
-from oracles import batch_gradients, batch_loss, search_tokens
+from oracles import batch_gradients, batch_loss, dense_model, search_tokens
 from linkrush.classifier import (
     ENTITY_TYPES,
     GATE_O,
@@ -499,7 +499,7 @@ def test_criterion_10_round_trips(
         from linkrush.classifier import save_model
 
         save_model(model_a, model_path)
-        restored = load_model(model_path)
+        restored = dense_model(load_model(model_path))
         assert np.array_equal(restored.W_type, model_a.W_type)
         assert np.array_equal(restored.W_bin, model_a.W_bin)
 
@@ -511,7 +511,7 @@ def test_criterion_10_round_trips(
         from linkrush.ensemble import save_window_tagger
 
         save_window_tagger(tagger_a, tagger_path)
-        restored_tagger = load_window_tagger(tagger_path)
+        restored_tagger = dense_model(load_window_tagger(tagger_path))
         assert np.array_equal(restored_tagger.W_type, tagger_a.W_type)
 
         detail["text"] = (

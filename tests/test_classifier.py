@@ -6,7 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import batch_gradients, batch_loss, hash_feature, oracle_featurize
+from oracles import (
+    batch_gradients,
+    batch_loss,
+    dense_model,
+    hash_feature,
+    oracle_featurize,
+    oracle_head_logits,
+)
 
 from linkrush.classifier import (
     ENTITY_TYPES,
@@ -15,11 +22,16 @@ from linkrush.classifier import (
     EntityType,
     GateDecision,
     MentionClassifier,
+    SparseRows,
+    SparseVector,
     TrainExample,
     TrainingConfig,
     WIKI_DIGEST_MEMO_SIZE,
     _KEY_SEP,
     _feature_digests,
+    _fit,
+    _head_logits,
+    _rows_logits,
     _wiki_digests,
     decide,
     featurize,
@@ -29,6 +41,7 @@ from linkrush.classifier import (
     loss_single_head,
     predict,
     save_model,
+    softmax,
     train,
 )
 from linkrush.errors import DataFormatError
@@ -440,7 +453,7 @@ class TestPersistence:
         model = randomize(MentionClassifier.zeros(DIM), rng)
         path = tmp_path / "m.bin"
         save_model(model, path)
-        loaded = load_model(path)
+        loaded = dense_model(load_model(path))
         assert loaded.feature_dim == DIM
         assert loaded.single_head is False
         assert np.array_equal(loaded.W_bin, model.W_bin)
@@ -455,7 +468,7 @@ class TestPersistence:
         loaded = load_model(path)
         assert loaded.single_head is True
         assert loaded.W_bin is None
-        assert loaded.W_type.shape == (7, DIM)
+        assert dense_model(loaded).W_type.shape == (7, DIM)
 
     def test_save_deterministic(self, tmp_path):
         model = MentionClassifier.zeros(DIM)
@@ -504,6 +517,131 @@ class TestPersistence:
         for _ in range(20):
             rep = random_rep(rng)
             assert predict(model, rep) == predict(loaded, rep)
+
+
+def compact_prone_model(rng, kind, dim, single_head):
+    """A model whose weights are zero outside a third of its columns:
+    Gaussian, tie-prone {-1, 0, 1} with zero biases, or Gaussian with
+    -0.0 in place of a third of the weights, in every weight of a quarter
+    of those columns and in the biases."""
+    model = MentionClassifier.zeros(dim, single_head=single_head)
+    used = rng.choice(dim, size=max(2, min(dim // 3, 400)), replace=False)
+    for W, b in [(model.W_type, model.b_type), (model.W_bin, model.b_bin)][: 1 if single_head else 2]:
+        if kind == "ternary":
+            W[:, used] = rng.integers(-1, 2, size=(len(W), len(used)))
+            continue
+        values = rng.standard_normal((len(W), len(used)))
+        b[:] = rng.standard_normal(len(b))
+        if kind == "negative-zero":
+            values[rng.random(values.shape) < 1 / 3] = -0.0
+            values[:, : len(used) // 4] = -0.0
+            b[:] = -0.0
+        W[:, used] = values
+    return model
+
+
+def random_features(rng, dim, count, touched=()):
+    """`count` sparse vectors of one to twelve positive values, at
+    columns drawn uniformly from all `dim` or, half the time when given,
+    from `touched`."""
+    vectors = []
+    for _ in range(count):
+        size = int(rng.integers(1, 13))
+        indices = rng.integers(0, dim, size=size)
+        if len(touched):
+            indices = np.where(rng.random(size) < 0.5, rng.choice(touched, size=size), indices)
+        indices = np.unique(indices)
+        vectors.append(SparseVector(indices.astype(np.int64), rng.random(len(indices)) + 0.01))
+    return vectors
+
+
+class TestCompactModels:
+    """A saved model keeps only its touched columns, and a loaded one
+    gathers through its column map into a compact matrix. Its logits must
+    have the bytes of the dense gather `oracles.oracle_head_logits` over
+    the weights that were saved, through `forward` and through every
+    `_rows_logits` row, for features of touched and untouched columns."""
+
+    KINDS = ("gaussian", "ternary", "negative-zero")
+
+    def test_loaded_logits_equal_dense_oracle(self, tmp_path):
+        rng = np.random.default_rng(22)
+        path = tmp_path / "m.bin"
+        for dim in (2**18, 8):
+            for kind in self.KINDS:
+                for single_head in (False, True):
+                    model = compact_prone_model(rng, kind, dim, single_head)
+                    save_model(model, path)
+                    loaded = load_model(path)
+                    heads = [("W_type", "b_type")] + ([] if single_head else [("W_bin", "b_bin")])
+                    touched = np.zeros(dim, dtype=bool)
+                    for W_name, _ in heads:
+                        touched |= (getattr(model, W_name).view("<u8") != 0).any(axis=0)
+                    assert loaded.W_type.shape == (len(model.b_type), touched.sum() + 1)
+                    assert (loaded.columns[~touched] == touched.sum()).all()
+                    vectors = random_features(rng, dim, 40, np.flatnonzero(touched))
+                    rows = SparseRows(
+                        np.cumsum([0] + [x.nnz for x in vectors]),
+                        np.concatenate([x.indices for x in vectors]),
+                        np.concatenate([x.values for x in vectors]),
+                    )
+                    hit = loaded.columns[rows.indices]
+                    assert (hit == touched.sum()).any() and (hit < touched.sum()).any()
+                    for W_name, b_name in heads:
+                        W, b = getattr(model, W_name), getattr(model, b_name)
+                        args = getattr(loaded, W_name), getattr(loaded, b_name), loaded.columns
+                        want = [oracle_head_logits(W, b, x) for x in vectors]
+                        for x, logits in zip(vectors, want):
+                            assert _head_logits(*args, x).tobytes() == logits.tobytes()
+                        assert _rows_logits(*args, rows).tobytes() == np.stack(want).tobytes()
+                    for x in vectors:
+                        p_bin, p_type = forward(loaded, x)
+                        want = softmax(oracle_head_logits(model.W_type, model.b_type, x))
+                        assert p_type.tobytes() == want.tobytes()
+                        if single_head:
+                            assert p_bin is None
+                        else:
+                            want = softmax(oracle_head_logits(model.W_bin, model.b_bin, x))
+                            assert p_bin.tobytes() == want.tobytes()
+
+    def test_weight_bits_round_trip(self, tmp_path):
+        """Every weight comes back with its bits, -0.0 included, and an
+        all-zero model stores no column."""
+        rng = np.random.default_rng(23)
+        path = tmp_path / "m.bin"
+        models = [compact_prone_model(rng, kind, 64, False) for kind in self.KINDS]
+        for model in models + [MentionClassifier.zeros(64)]:
+            save_model(model, path)
+            loaded = dense_model(load_model(path))
+            for name in ("W_bin", "b_bin", "W_type", "b_type"):
+                want = getattr(model, name)
+                assert getattr(loaded, name).view("<u8").tobytes() == want.view("<u8").tobytes()
+        assert load_model(path).W_type.shape == (6, 1)
+
+    def test_every_column_touched_round_trips(self, tmp_path):
+        rng = np.random.default_rng(24)
+        path = tmp_path / "m.bin"
+        for dim in (8, DIM):
+            model = randomize(MentionClassifier.zeros(dim), rng)
+            save_model(model, path)
+            loaded = load_model(path)
+            assert loaded.W_type.shape == (6, dim + 1)
+            assert np.array_equal(loaded.columns, np.arange(dim))
+            dense = dense_model(loaded)
+            for name in ("W_bin", "b_bin", "W_type", "b_type"):
+                assert getattr(dense, name).tobytes() == getattr(model, name).tobytes()
+            for x in random_features(rng, dim, 20):
+                for got, want in zip(forward(loaded, x), forward(model, x)):
+                    assert got.tobytes() == want.tobytes()
+
+    def test_a_loaded_model_is_not_trained(self, tmp_path):
+        """Training updates columns in place, so it takes a dense model
+        only: in a compact one, the untouched features share a column."""
+        path = tmp_path / "m.bin"
+        save_model(compact_prone_model(np.random.default_rng(25), "gaussian", DIM, False), path)
+        x = featurize(random_rep(np.random.default_rng(26)), DIM)
+        with pytest.raises(ValueError, match="dense"):
+            _fit(load_model(path), [x], [(GateDecision.NE, EntityType.PER)], TrainingConfig(epochs=1))
 
 
 def test_train_example_validation():

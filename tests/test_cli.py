@@ -407,20 +407,35 @@ class TestDocumentRecordValidation:
         assert not index.exists()
 
 
+def _fuzz_cases(data, rng, header_end):
+    """Seeded cut lengths, and (position, xor mask) byte flips, of a
+    file whose header ends at `header_end`: the framing bytes, the header
+    boundary and the last byte always, then random positions anywhere
+    and after the header."""
+    cuts = {0, 8, 9, header_end, header_end + 1, len(data) - 1}
+    cuts |= {int(c) for c in rng.integers(0, len(data), 60)}
+    flips = {int(p) for p in rng.integers(0, len(data), 150)}
+    flips |= set(range(10)) | {header_end, header_end + 1, len(data) - 1}
+    flips |= {int(p) for p in rng.integers(header_end, len(data), 50)}
+    return sorted(cuts), [(p, int(rng.integers(1, 256))) for p in sorted(flips)]
+
+
+def _damaged(data, cuts, flips):
+    """`data` cut at each length, then with each byte flip applied."""
+    damaged = [data[:cut] for cut in cuts]
+    for position, mask in flips:
+        flipped = bytearray(data)
+        flipped[position] ^= mask
+        damaged.append(bytes(flipped))
+    return damaged
+
+
 class TestFuzzedFiles:
     """Seeded truncations, byte flips and key deletions of a saved index
     and corpus, through the CLI. Every damaged index exits 2: the CRC
     covers the header and the arrays. A damaged corpus exits 2 when it is
     truncated or loses a key; a flipped byte inside a JSON string can
     leave a valid corpus, so a flip exits 0 or 2. None exits 1 or raises."""
-
-    def _cases(self, data, rng, header_end):
-        cuts = {0, 8, 9, header_end, header_end + 1, len(data) - 1}
-        cuts |= {int(c) for c in rng.integers(0, len(data), 60)}
-        flips = {int(p) for p in rng.integers(0, len(data), 150)}
-        flips |= set(range(10)) | {header_end, header_end + 1, len(data) - 1}
-        flips |= {int(p) for p in rng.integers(header_end, len(data), 50)}
-        return sorted(cuts), [(p, int(rng.integers(1, 256))) for p in sorted(flips)]
 
     def _index_exit(self, capsys, path, sentences):
         code, out, err = run(capsys, "link", "--index", str(path), "--input", str(sentences))
@@ -432,12 +447,8 @@ class TestFuzzedFiles:
         sentences = tmp_path / "sentences.txt"
         sentences.write_text("the nokia 2010 sold well\n", encoding="utf-8")
         path = tmp_path / "index.bin"
-        cuts, flips = self._cases(data, np.random.default_rng(18), data.index(b"\n"))
-        damaged = [data[:cut] for cut in cuts]
-        for position, mask in flips:
-            flipped = bytearray(data)
-            flipped[position] ^= mask
-            damaged.append(bytes(flipped))
+        cuts, flips = _fuzz_cases(data, np.random.default_rng(18), data.index(b"\n"))
+        damaged = _damaged(data, cuts, flips)
         payload = read_container(pipeline["index"], MAGIC_INDEX)
         sep = payload.index(b"\n")
         header = load_json(payload[:sep], pipeline["index"])
@@ -461,7 +472,7 @@ class TestFuzzedFiles:
             assert "Traceback" not in err
             return code
 
-        cuts, flips = self._cases(data, np.random.default_rng(7), 9)
+        cuts, flips = _fuzz_cases(data, np.random.default_rng(7), 9)
         for cut in cuts:
             assert index_exit(data[:cut]) == 2
         payload = load_json(read_container(pipeline["corpus"], MAGIC_CORPUS), path)
@@ -517,20 +528,25 @@ def _drop_b_type(header, weights):
 
 
 def _narrow(dim):
-    """Cut every weight matrix to `dim` columns and say so consistently in
-    the header, so only the value of `feature_dim` is wrong."""
+    """Keep only the touched columns below `dim`, cut every weight matrix
+    to them and say so consistently in the header, so only the value of
+    `feature_dim` is wrong."""
 
     def edit(header, weights):
-        values = np.frombuffer(weights, dtype="<f8")
-        parts, offset = [], 0
-        for entry in header["arrays"]:
-            shape = entry[1]
+        values, offset = {}, 0
+        for name, dtype, shape in header["arrays"]:
             count = int(np.prod(shape))
-            array = values[offset : offset + count].reshape(shape)
-            offset += count
-            if len(shape) == 2:
-                array = array[:, :dim]
-                entry[1] = [shape[0], dim]
+            values[name] = np.frombuffer(weights, dtype, count, offset).reshape(shape)
+            offset += count * np.dtype(dtype).itemsize
+        keep = values["touched"] < dim
+        parts = []
+        for entry in header["arrays"]:
+            array = values[entry[0]]
+            if entry[0] == "touched":
+                array = array[keep]
+            elif array.ndim == 2:
+                array = array[:, keep]
+            entry[2] = list(array.shape)
             parts.append(np.ascontiguousarray(array).tobytes())
         header["feature_dim"] = dim
         return header, b"".join(parts)
@@ -554,7 +570,7 @@ def _delete(key):
     return edit
 
 
-_HEADER_KEYS = ("arrays", "epoch_losses", "feature_dim", "kind", "single_head", "turkish")
+_HEADER_KEYS = ("arrays", "crc32", "epoch_losses", "feature_dim", "kind", "single_head", "turkish")
 
 _BAD_HEADERS = {
     **{f"no-{key}": _delete(key) for key in _HEADER_KEYS},
@@ -616,6 +632,41 @@ class TestModelFileValidation:
         assert code == 2, err
         assert out == ""
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["mention", "window"])
+    def test_model_mutations_exit_two(self, pipeline, small_models, tmp_path, capsys, kind):
+        """Seeded truncations, byte flips in the header and in the arrays,
+        and header-key deletions each exit 2: the CRC covers the header
+        and every array, so not even a flipped weight byte loads."""
+        data = small_models[kind].read_bytes()
+        seed = {"mention": 22, "window": 23}[kind]
+        cuts, flips = _fuzz_cases(data, np.random.default_rng(seed), data.index(b"\n"))
+        damaged = _damaged(data, cuts, flips)
+        header, weights = _split_model(small_models[kind])
+        for key in sorted(header):
+            rest = {k: v for k, v in header.items() if k != key}
+            damaged.append(data[:9] + dump_json(rest) + b"\n" + weights)
+        assert len(damaged) > 250
+        path = tmp_path / "bad.bin"
+        for bad in damaged:
+            path.write_bytes(bad)
+            code, out, err = self._tag(capsys, pipeline, small_models, kind, path)
+            assert (code, out) == (2, ""), err
+            assert "Traceback" not in err
+        path.write_bytes(data)
+        assert self._tag(capsys, pipeline, small_models, kind, path)[0] == 0
+
+    @pytest.mark.parametrize("kind", ["mention", "window"])
+    def test_format_1_model_names_the_retrain(self, pipeline, small_models, tmp_path, capsys, kind):
+        """Model format 1 stored every column with no checksum; a file
+        that says it is format 1 is refused with the remedy."""
+        data = bytearray(small_models[kind].read_bytes())
+        data[8] = 1
+        path = tmp_path / "v1.bin"
+        path.write_bytes(data)
+        code, out, err = self._tag(capsys, pipeline, small_models, kind, path)
+        assert (code, out) == (2, "")
+        assert "version 1" in err and "linkrush train" in err
 
     @pytest.mark.parametrize("kind", ["mention", "window"])
     def test_trailing_bytes_exit_two(self, pipeline, small_models, tmp_path, capsys, kind):

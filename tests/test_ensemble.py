@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracles import oracle_tag_baseline, oracle_window_features
+from oracles import dense_model, oracle_tag_baseline, oracle_window_features
 
 from linkrush import ensemble
 from linkrush.classifier import (
@@ -207,17 +207,19 @@ class TestTagBaselineMatchesOracle:
         sentences = seeded_sentences(22, 60)
         for dim in (2**18, 8, 2):
             for tagger in random_taggers(dim, dim + 1):
-                W, b = tagger.W_type, tagger.b_type
+                W, b, columns = tagger.W_type, tagger.b_type, tagger.columns
                 for tokens in sentences:
                     rows = window_features(tokens, dim)
-                    logits = _rows_logits(W, b, rows)
+                    logits = _rows_logits(W, b, columns, rows)
                     assert logits.shape == (len(tokens), len(b))
                     for got, row in zip(logits, rows):
-                        assert got.tobytes() == _head_logits(W, b, row).tobytes()
+                        assert got.tobytes() == _head_logits(W, b, columns, row).tobytes()
 
     def test_no_rows_no_logits(self):
         tagger = random_taggers(DIM, 0)[0]
-        logits = _rows_logits(tagger.W_type, tagger.b_type, window_features([], DIM))
+        logits = _rows_logits(
+            tagger.W_type, tagger.b_type, tagger.columns, window_features([], DIM)
+        )
         assert logits.shape == (0, len(tagger.b_type))
 
 
@@ -338,7 +340,7 @@ class TestWindowTagger:
         tagger = train_baseline(per_token_fixture(), TrainingConfig(epochs=5), feature_dim=DIM)
         path = tmp_path / "t.bin"
         save_window_tagger(tagger, path)
-        loaded = load_window_tagger(path)
+        loaded = dense_model(load_window_tagger(path))
         assert loaded.feature_dim == tagger.feature_dim
         assert loaded.turkish == tagger.turkish
         assert np.array_equal(loaded.W_type, tagger.W_type)

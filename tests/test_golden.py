@@ -14,7 +14,10 @@ behaviour; a failure names the version in use. A change that alters
 floats on purpose re-pins them and says why. The `models` pin was
 re-pinned once when both model kinds moved to one header layout (with
 `turkish` and `epoch_losses`); the weight bytes after each header did
-not change. The `index` pin was re-pinned once when the index moved to
+not change. It was re-pinned a second time when models moved to format
+2, which stores only the touched weight columns, their ids and a
+CRC-32; the stored weights are the same floats, and both prediction
+pins did not move. The `index` pin was re-pinned once when the index moved to
 format 2 (binary columns behind a JSON header); the format-1 bytes are
 still pinned as `FORMAT_1_INDEX`, through the format-1 writer kept as a
 test oracle, and a format-2 round trip must load what format 1 loads.
@@ -40,7 +43,9 @@ import numpy as np
 import pytest
 from oracles import (
     assert_v2_loads_as_v1,
+    _tf_part,
     oracle_featurize,
+    oracle_field_index,
     oracle_link_sentence,
     oracle_window_features,
     save_index_v1,
@@ -59,7 +64,7 @@ from linkrush.ensemble import (
     window_features,
 )
 from linkrush.evaluation import format_conll, read_conll
-from linkrush.index import CorpusIndex
+from linkrush.index import FIELD_NAMES, CorpusIndex, field_tokens
 from linkrush.mentions import link_sentence
 from linkrush.tokenizer import normalize_token
 
@@ -73,7 +78,7 @@ EPOCHS = 10
 
 GOLDEN = {
     "index": "dee45585ee8585a0ddd98d7bc29224f18aa5447adb81a26fe9df85458fee2f9b",
-    "models": "de93293fd4fd33aef24dc3df4580264a12ea42c0046c7a71d8a1bfe686fba8f8",
+    "models": "c922e4444da1ee386bb6ee9334f7726df5af55d72c271d9253f6df6e02b8abcf",
     "short_predictions": "4ebc8474ef5e9030ef7f724fd40efeae268c2a3443b3eb4bd2e5f5d0e671d99d",
     "long_predictions": "3a23cc0d89315686567dc3ac03abe13988a48090bb66da83b387cf08bcbe1f84",
 }
@@ -129,6 +134,7 @@ def golden_run(tmp_path_factory):
     return {
         "documents": documents,
         "built": built,
+        "loaded": index,
         "short_stream": read_conll(short_dir / "stream.conll"),
         "long_stream": read_conll(long_dir / "stream.conll"),
         "index": _sha256(index_path.read_bytes()),
@@ -154,6 +160,27 @@ def test_format_1_oracle_and_format_2_agree(golden_run, tmp_path):
     save_index_v1(v1, documents, built.fields)
     assert _sha256(v1.read_bytes()) == FORMAT_1_INDEX
     assert_v2_loads_as_v1(documents, built, tmp_path)
+
+
+def test_impacts_equal_per_posting_oracle(golden_run):
+    """Every posting's impact, in all four fields of the built and of the
+    loaded index, has the bytes of the scalar BM25 of `oracles`: idf
+    through math.log times the tf part, one posting at a time. The
+    impacts are computed in place, step by step; a step taken in another
+    order changes some of these bytes."""
+    documents = golden_run["documents"]
+    for name in FIELD_NAMES:
+        oracle = oracle_field_index([field_tokens(doc, name) for doc in documents])
+        impacts = np.array(
+            [
+                oracle.idf(term) * _tf_part(tf, oracle, doc_id)
+                for term in sorted(oracle.postings)
+                for doc_id, tf in oracle.postings[term]
+            ]
+        )
+        assert len(impacts) > 1000
+        for index in (golden_run["built"], golden_run["loaded"]):
+            assert index.fields[name].impacts.tobytes() == impacts.tobytes()
 
 
 def test_linking_equals_pool_first_oracle(golden_run):

@@ -4,6 +4,7 @@ dict-of-postings scorer in `oracles`; index loading and validation."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -609,6 +610,38 @@ class TestFormat2MatchesFormat1:
         fixture_index.save(first)
         CorpusIndex.load(first).save(second)
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestLoadMemory:
+    """A load reads its file once, into one buffer, and the loaded columns
+    are read-only views of that buffer, not copies."""
+
+    def test_read_container_allocates_one_payload(self, tmp_path):
+        payload = np.random.default_rng(22).integers(0, 256, 4 << 20, dtype=np.uint8).tobytes()
+        path = tmp_path / "c.bin"
+        write_container(path, MAGIC_INDEX, payload)
+        tracemalloc.start()
+        try:
+            got = read_container(path, MAGIC_INDEX)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == payload
+        # Slicing the payload out of a whole-file read would allocate 2x.
+        assert len(payload) <= peak < 1.25 * len(payload)
+
+    def test_loaded_columns_are_read_only_views_of_one_buffer(self, fixture_index, tmp_path):
+        path = tmp_path / "idx.bin"
+        fixture_index.save(path)
+        loaded = CorpusIndex.load(path)
+        buffers = set()
+        for field in loaded.fields.values():
+            for column in (field.offsets, field.doc_ids, field.tfs, field.doc_lengths):
+                assert column.size and not column.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 0
+                buffers.add(id(column.base.obj))
+        assert len(buffers) == 1
 
 
 class TestFieldTokens:
