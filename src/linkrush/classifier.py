@@ -10,10 +10,10 @@ window tagger of `ensemble` is such a single-head model.
 
 Features are hashed (Weinberger et al., 2009) by `_feature_digests`, for
 `featurize` and the window tagger's `ensemble.window_features` alike.
-`featurize` returns one `SparseVector`, L2-normalized by `_normalized`;
-`window_features` returns a whole sentence's rows as one `SparseRows`
-(CSR), normalized row by row to the same bytes, and `_rows_logits`
-scores all of its rows with one weight gather.
+Every feature set is one `SparseRows` (CSR): `featurize` returns one row,
+L2-normalized by `_normalized`, `window_features` a sentence's rows. A
+mention, a training mini-batch and a long sentence are all scored by
+`_rows_logits`, which gathers the weights of all rows' features at once.
 
 A model's weights are read through `columns`, a map from each of the
 `feature_dim` features to the column of `W_bin`/`W_type` that holds its
@@ -21,9 +21,9 @@ weights. A model fresh from `zeros` or training is dense and its map is
 the identity. A saved model keeps only its touched columns (those where
 some head holds a weight whose bits are not all zero), so a loaded model
 is compact: those columns plus one trailing zero column that every
-untouched feature maps to. `_head_logits` and `_rows_logits` gather
-through the map, so both kinds give the dense gather's values, in the
-same shapes, and the same logit bytes.
+untouched feature maps to. `_rows_logits` gathers through the map, so
+both kinds give the dense gather's values, in the same shapes, and the
+same logit bytes.
 
 Both kinds of model share one file layout (model format 2): a JSON
 header line, then the ids of the touched columns as little-endian int32,
@@ -44,7 +44,7 @@ import zlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,22 +91,10 @@ _TINY = 1e-300
 
 
 @dataclass(frozen=True)
-class SparseVector:
-    """Non-negative sparse features: strictly increasing indices."""
-
-    indices: np.ndarray
-    values: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
 class SparseRows:
-    """Sparse feature rows in CSR form: row r holds `indices` and `values`
-    [indptr[r]:indptr[r + 1]], its indices strictly increasing. A row is
-    read as a `SparseVector` view of that slice."""
+    """Non-negative sparse feature rows in CSR form: row r holds `indices`
+    and `values` [indptr[r]:indptr[r + 1]], its indices strictly
+    increasing, and indptr[0] is 0."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -115,15 +103,25 @@ class SparseRows:
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
-    def __getitem__(self, row: int) -> SparseVector:
-        row = range(len(self))[row]
-        lo, hi = int(self.indptr[row]), int(self.indptr[row + 1])
-        return SparseVector(self.indices[lo:hi], self.values[lo:hi])
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
 
-    def __iter__(self) -> Iterator[SparseVector]:
-        bounds = self.indptr.tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            yield SparseVector(self.indices[lo:hi], self.values[lo:hi])
+    @classmethod
+    def stack(cls, parts: Sequence["SparseRows"]) -> "SparseRows":
+        """The rows of every part, in order; `parts` must not be empty."""
+        return cls(
+            np.concatenate([[0], *(np.diff(part.indptr) for part in parts)]).cumsum(),
+            np.concatenate([part.indices for part in parts]),
+            np.concatenate([part.values for part in parts]),
+        )
+
+    def take(self, rows: np.ndarray) -> "SparseRows":
+        """The given rows, in the given order."""
+        starts, lengths = self.indptr[rows], np.diff(self.indptr)[rows]
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        picked = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return SparseRows(indptr, self.indices[picked], self.values[picked])
 
 
 # A feature's key is its parts joined by U+001F; its 64-bit hash is the
@@ -175,9 +173,9 @@ def _wiki_digests(run: tuple[str, ...]) -> np.ndarray:
     return digests
 
 
-def featurize(rep: Representation, feature_dim: int = DEFAULT_FEATURE_DIM) -> SparseVector:
-    """Hashed counts of (segment, token) and (segment, token-bigram) pairs
-    within each run of one segment, L2-normalized.
+def featurize(rep: Representation, feature_dim: int = DEFAULT_FEATURE_DIM) -> SparseRows:
+    """One row: hashed counts of (segment, token) and (segment,
+    token-bigram) pairs within each run of one segment, L2-normalized.
 
     Each feature's 64-bit hash is masked to `feature_dim` bits, the
     masked values are counted with `np.unique` and normalized. The
@@ -204,7 +202,8 @@ def featurize(rep: Representation, feature_dim: int = DEFAULT_FEATURE_DIM) -> Sp
     indices, counts = np.unique(
         np.concatenate(digests) & np.uint64(feature_dim - 1), return_counts=True
     )
-    return SparseVector(indices.astype(np.int64), _normalized(counts.astype(np.float64)))
+    values = _normalized(counts.astype(np.float64))
+    return SparseRows(np.array((0, len(values))), indices.astype(np.int64), values)
 
 
 def _check_dim(feature_dim: int) -> None:
@@ -218,6 +217,14 @@ class TrainingConfig:
     epochs: int = 150
     batch_size: int = 32
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -275,30 +282,23 @@ class TrainExample:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    exp = np.exp(shifted)
-    return exp / exp.sum()
-
-
-def _head_logits(
-    W: np.ndarray, b: np.ndarray, columns: np.ndarray, x: SparseVector
-) -> np.ndarray:
-    """W's weights of x's features, gathered through `columns`, times
-    x's values, plus b."""
-    if x.nnz == 0:
-        return b.copy()
-    return W[:, columns[x.indices]] @ x.values + b
+    """Softmax over the last axis."""
+    exp = np.exp(logits - logits.max(-1, keepdims=True))
+    exp /= exp.sum(-1, keepdims=True)
+    return exp
 
 
 def _rows_logits(
     W: np.ndarray, b: np.ndarray, columns: np.ndarray, rows: SparseRows
 ) -> np.ndarray:
-    """One logit row per feature row, each with the bytes `_head_logits`
-    gives that row: the weights of every row's features are gathered
-    at once, then each row is the same BLAS matrix-vector product over
-    its slice of them, written in place. Every row must have a feature."""
-    logits = np.empty((len(rows), len(b)))
+    """One logit row per feature row, each with the bytes of the row's own
+    `W[:, columns[idx]] @ v + b`: W's weights of all rows' features are
+    gathered through `columns` at once, then each row is one BLAS
+    matrix-vector product over its slice of them."""
     gathered = W[:, columns[rows.indices]]
+    if len(rows) == 1:
+        return (gathered @ rows.values + b)[np.newaxis]
+    logits = np.empty((len(rows), len(b)))
     bounds = rows.indptr.tolist()
     for row, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         np.dot(gathered[:, lo:hi], rows.values[lo:hi], out=logits[row])
@@ -306,19 +306,18 @@ def _rows_logits(
     return logits
 
 
-def forward(model: MentionClassifier, features: SparseVector) -> tuple[np.ndarray | None, np.ndarray]:
-    """Head probabilities for one feature vector.
-
-    Returns (p_bin, p_type); p_bin is None for single-head models, whose
-    p_type covers the six entity types plus the non-entity class.
-    """
-    if features.nnz and int(features.indices[-1]) >= model.feature_dim:
-        raise ValueError("feature index exceeds model dimension")
-    p_type = softmax(_head_logits(model.W_type, model.b_type, model.columns, features))
-    if model.single_head:
-        return None, p_type
-    p_bin = softmax(_head_logits(model.W_bin, model.b_bin, model.columns, features))
-    return p_bin, p_type
+def forward(model: MentionClassifier, rows: SparseRows) -> tuple[np.ndarray | None, np.ndarray]:
+    """Head probabilities, one row per feature row: (p_bin, p_type), p_bin
+    None for single-head models, whose p_type covers the six entity types
+    plus the non-entity class. A feature index of `feature_dim` or more
+    raises ValueError."""
+    try:
+        p_type = softmax(_rows_logits(model.W_type, model.b_type, model.columns, rows))
+        if model.single_head:
+            return None, p_type
+        return softmax(_rows_logits(model.W_bin, model.b_bin, model.columns, rows)), p_type
+    except IndexError:
+        raise ValueError("feature index exceeds model dimension") from None
 
 
 def cross_entropy(probs: np.ndarray, target: int) -> float:
@@ -350,28 +349,6 @@ def loss_single_head(p_type: np.ndarray, gold_class: int) -> float:
     return cross_entropy(p_type, gold_class)
 
 
-def _example_gradients(
-    model: MentionClassifier, x: SparseVector, label: object
-) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """Per-example loss and d(loss)/d(logits) for each head."""
-    p_bin, p_type = forward(model, x)
-    if model.single_head:
-        gold_class = int(label)
-        dz_type = p_type.copy()
-        dz_type[gold_class] -= 1.0
-        return loss_single_head(p_type, gold_class), None, dz_type
-
-    gate, etype = label
-    value = loss(p_bin, p_type, gate, etype)
-    dz_bin = p_bin.copy()
-    dz_bin[GATE_NE if gate is GateDecision.NE else GATE_O] -= 1.0
-    dz_type = None
-    if gate is GateDecision.NE:
-        dz_type = p_type.copy()
-        dz_type[TYPE_INDEX[etype]] -= 1.0
-    return value, dz_bin, dz_type
-
-
 def train(
     examples: Sequence[TrainExample],
     config: TrainingConfig,
@@ -385,7 +362,7 @@ def train(
     """
     if not examples:
         raise ValueError("cannot train on an empty example list")
-    features = [featurize(e.rep, feature_dim) for e in examples]
+    features = SparseRows.stack([featurize(e.rep, feature_dim) for e in examples])
     if single_head:
         labels: list[object] = [
             OTHER_CLASS if e.entity_type is None else TYPE_INDEX[e.entity_type]
@@ -400,14 +377,28 @@ def train(
 
 def _fit(
     model: MentionClassifier,
-    features: Sequence[SparseVector],
+    features: SparseRows,
     labels: Sequence[object],
     config: TrainingConfig,
 ) -> list[float]:
-    """Shared descent loop; also used by the per-token window tagger. It
-    updates the weights of a dense model (one column per feature) in place."""
-    if not np.array_equal(model.columns, np.arange(model.feature_dim)):
-        raise ValueError("only a dense model can be trained; a loaded model is compact")
+    """The descent loop of both model kinds; it updates the weights of a
+    dense model (one column per feature) in place. A mini-batch is scored
+    by one `forward` of the pre-update weights; then one `np.subtract.at`
+    per array, which applies repeated indices in the order given, updates
+    each weight by the batch's examples in batch order, `w - scale * (dz * v)`
+    each. The type row of a non-entity's dz is 0.0, and `w - 0.0` is `w`."""
+    if model.single_head:
+        heads = [(model.W_type, model.b_type, np.array(labels, dtype=np.intp), None)]
+    else:
+        entity = np.array([gate is GateDecision.NE for gate, _ in labels])
+        types = np.array([TYPE_INDEX.get(etype, 0) for _, etype in labels])
+        heads = [
+            (model.W_type, model.b_type, types, entity),
+            (model.W_bin, model.b_bin, np.where(entity, GATE_NE, GATE_O), None),
+        ]
+    dense = np.array_equal(model.columns, np.arange(model.feature_dim))
+    if not (dense and all(W.flags.c_contiguous for W, *_ in heads)):
+        raise ValueError("only a dense, C-contiguous model can be trained; a loaded one is compact")
     rng = np.random.default_rng(config.seed)
     n = len(features)
     epoch_losses: list[float] = []
@@ -416,20 +407,26 @@ def _fit(
         epoch_total = 0.0
         for lo in range(0, n, config.batch_size):
             batch = order[lo : lo + config.batch_size]
+            rows = features.take(batch)
+            p_bin, p_type = forward(model, rows)
+            if model.single_head:
+                losses = [loss_single_head(p, labels[i]) for p, i in zip(p_type, batch)]
+            else:
+                losses = [loss(pb, pt, *labels[i]) for pb, pt, i in zip(p_bin, p_type, batch)]
+            epoch_total += sum(losses)
             scale = config.learning_rate / len(batch)
-            # Gradients come from the pre-update weights for the whole batch.
-            terms = [_example_gradients(model, features[i], labels[i]) for i in batch]
-            epoch_total += sum(t[0] for t in terms)
-            for i, (_, dz_bin, dz_type) in zip(batch, terms):
-                x = features[i]
-                if dz_bin is not None:
-                    model.b_bin -= scale * dz_bin
-                    if x.nnz:
-                        model.W_bin[:, x.indices] -= scale * np.outer(dz_bin, x.values)
-                if dz_type is not None:
-                    model.b_type -= scale * dz_type
-                    if x.nnz:
-                        model.W_type[:, x.indices] -= scale * np.outer(dz_type, x.values)
+            owner = np.repeat(np.arange(len(batch)), np.diff(rows.indptr))
+            for (W, b, gold, learns), dz in zip(heads, (p_type, p_bin)):
+                dz[np.arange(len(batch)), gold[batch]] -= 1.0
+                if learns is not None:
+                    dz[~learns[batch]] = 0.0
+                classes = np.arange(len(b))
+                np.subtract.at(b, np.tile(classes, len(batch)), (scale * dz).ravel())
+                np.subtract.at(
+                    W.reshape(-1),
+                    (classes[:, None] * model.feature_dim + rows.indices).ravel(),
+                    (scale * (dz[owner].T * rows.values)).ravel(),
+                )
         epoch_losses.append(epoch_total / n)
     return epoch_losses
 
@@ -451,7 +448,7 @@ def decide(p_bin: np.ndarray | None, p_type: np.ndarray) -> EntityType | None:
 def predict(model: MentionClassifier, rep: Representation) -> EntityType | None:
     """Classify one mention representation; None means "not an entity"."""
     p_bin, p_type = forward(model, featurize(rep, model.feature_dim))
-    return decide(p_bin, p_type)
+    return decide(None if p_bin is None else p_bin[0], p_type[0])
 
 
 _KIND_MENTION = "mention_classifier"

@@ -264,6 +264,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         save_window_tagger(tagger, args.out)
         print(f"trained window tagger on {len(sentences)} sentences -> {args.out}")
         return 0
+    if args.turkish:
+        raise UsageError("--turkish applies only to --kind window")
     if not args.corpus:
         raise UsageError("--corpus is required for --kind mention")
     index = CorpusIndex.load(args.corpus)

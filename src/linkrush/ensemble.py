@@ -9,8 +9,8 @@ under its own header kind. `window_features` turns a sentence into one
 `SparseRows` (CSR) of its windows' features, with the hash of
 `classifier`: each token's seven keys are hashed once into a bounded
 memo, the sentence's keys are counted by one `np.unique`, and the rows
-are normalized together. `tag_baseline` scores all rows with one weight
-gather, so a long sentence is tagged a sentence at a time.
+are normalized together. `tag_baseline` scores all rows with one
+`_rows_logits` call, and `train_baseline` stacks all sentences' rows.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .classifier import (
     GateDecision,
     MentionClassifier,
     SparseRows,
-    SparseVector,
     TrainExample,
     TrainingConfig,
     _KEY_SEP,
@@ -131,20 +130,20 @@ def train_baseline(
     turkish: bool = False,
 ) -> MentionClassifier:
     """Fit the window tagger, a single-head model, on gold BIO data, one
-    example per token."""
-    features: list[SparseVector] = []
+    example (one row) per token."""
+    features: list[SparseRows] = []
     labels: list[object] = []
     for sentence in sentences:
         normalized = [normalize_token(t, turkish=turkish) for t in sentence.tokens]
-        features += window_features(normalized, feature_dim)
+        features.append(window_features(normalized, feature_dim))
         labels += [
             OTHER_CLASS if tag == "O" else TYPE_INDEX[EntityType(tag[2:])] for tag in sentence.tags
         ]
-    if not features:
+    if not labels:
         raise ValueError("cannot train on zero tokens")
     model = MentionClassifier.zeros(feature_dim, single_head=True)
     model.turkish = turkish
-    model.epoch_losses = _fit(model, features, labels, config)
+    model.epoch_losses = _fit(model, SparseRows.stack(features), labels, config)
     return model
 
 

@@ -18,7 +18,7 @@ every pooled document's anchors, and matches the sentence against it.
 floats included.
 
 Feature hashing: `hash_feature` hashes one feature at a time and
-`sparse_from_counts` normalizes a dict of counts. Built on them,
+`sparse_from_counts` normalizes a dict of counts into one row. Built on them,
 `oracle_featurize` hashes every feature of a representation in a loop,
 and `oracle_window_features` one position's window; `featurize` and
 `ensemble.window_features` must return exactly the same indices and
@@ -31,9 +31,16 @@ loop that scoring a sentence's rows at once replaced: each position's
 
 Dense weights: `dense_model` expands a model's weights to one column per
 feature, as model format 1 stored them, and `oracle_head_logits` is the
-dense gather `W[:, idx] @ v + b` that the gather through a compact
-model's column map replaced. `_head_logits` and `_rows_logits` must give
+dense gather `W[:, idx] @ v + b` of one row that the gather through a
+compact model's column map replaced. `_rows_logits` must give every row
 exactly the same logit bytes.
+
+Forward pass and training: `oracle_forward` scores one row of a dense
+model, each head through `oracle_head_logits` and `oracle_softmax` (the
+1-D softmax), and `oracle_fit` is the per-example descent loop over
+`_example_gradients` that batched training replaced. `forward` must give
+each row exactly the same probability bytes, and `_fit` the same
+weights, biases and epoch losses, byte for byte.
 
 Tokenizing: the character loop that the one-regex tokenizer replaced.
 `tokenize` must return exactly the same tokens.
@@ -45,9 +52,9 @@ a format-2 round trip must load exactly what a format-1 round trip
 loads.
 
 Also here: helpers with no caller in `src/` that tests still use (the
-list form of a field search, the dense batch gradients, representation
-accessors, and the split and rejoin of a format-2 index file that the
-malformed-file tests edit).
+list form of a field search, the dense batch gradients, a row on its
+own (`one_row`, `split_rows`), representation accessors, and the split
+and rejoin of a format-2 index file that the malformed-file tests edit).
 """
 
 from __future__ import annotations
@@ -63,11 +70,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from linkrush.classifier import (
+    GATE_NE,
+    GATE_O,
+    TYPE_INDEX,
+    GateDecision,
     MentionClassifier,
-    SparseVector,
+    SparseRows,
+    TrainingConfig,
     _check_dim,
-    _example_gradients,
     decide,
+    loss,
+    loss_single_head,
 )
 from linkrush.corpus import IndexedDocument
 from linkrush.evaluation import TaggedSentence, bio_repair
@@ -164,17 +177,29 @@ def hash_feature(parts: tuple[str, ...], feature_dim: int) -> int:
     return int.from_bytes(digest, "little") & (feature_dim - 1)
 
 
-def sparse_from_counts(counts: dict[int, float]) -> SparseVector:
-    """Sorted, L2-normalized sparse vector (zero vector stays zero)."""
+def one_row(indices: np.ndarray, values: np.ndarray) -> SparseRows:
+    """A `SparseRows` of one row."""
+    return SparseRows(np.array((0, len(indices))), indices, values)
+
+
+def split_rows(rows: SparseRows) -> list[SparseRows]:
+    """Each row of `rows` alone, its indices and values views of the row's
+    slice."""
+    bounds = rows.indptr.tolist()
+    return [one_row(rows.indices[lo:hi], rows.values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def sparse_from_counts(counts: dict[int, float]) -> SparseRows:
+    """One sorted, L2-normalized row (a zero row stays zero)."""
     if not counts:
-        return SparseVector(np.zeros(0, dtype=np.int64), np.zeros(0))
+        return one_row(np.zeros(0, dtype=np.int64), np.zeros(0))
     indices = np.array(sorted(counts), dtype=np.int64)
     values = np.array([counts[i] for i in indices], dtype=np.float64)
     norm = math.sqrt(float(values @ values))
-    return SparseVector(indices, values / norm if norm > 0.0 else values)
+    return one_row(indices, values / norm if norm > 0.0 else values)
 
 
-def oracle_window_features(tokens: Sequence[str], position: int, feature_dim: int) -> SparseVector:
+def oracle_window_features(tokens: Sequence[str], position: int, feature_dim: int) -> SparseRows:
     """Hashed unigram features of the tokens at offsets -3..+3 around one
     position, edge-padded, one `hash_feature` call per feature."""
     counts: dict[int, float] = {}
@@ -195,12 +220,30 @@ def dense_model(model: MentionClassifier) -> MentionClassifier:
     )
 
 
-def oracle_head_logits(W: np.ndarray, b: np.ndarray, x: SparseVector) -> np.ndarray:
-    """The dense gather: W (one column per feature) at x's features, times
-    x's values, plus b."""
+def oracle_head_logits(W: np.ndarray, b: np.ndarray, x: SparseRows) -> np.ndarray:
+    """The dense gather of one row: W (one column per feature) at x's
+    features, times x's values, plus b."""
     if x.nnz == 0:
         return b.copy()
     return W[:, x.indices] @ x.values + b
+
+
+def oracle_softmax(logits: np.ndarray) -> np.ndarray:
+    """The softmax of one logit vector."""
+    shifted = logits - np.max(logits)
+    exp = np.exp(shifted)
+    return exp / exp.sum()
+
+
+def oracle_forward(
+    model: MentionClassifier, x: SparseRows
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """(p_bin, p_type) of one row of a dense model, each head through
+    `oracle_head_logits` and `oracle_softmax`."""
+    p_type = oracle_softmax(oracle_head_logits(model.W_type, model.b_type, x))
+    if model.single_head:
+        return None, p_type
+    return oracle_softmax(oracle_head_logits(model.W_bin, model.b_bin, x)), p_type
 
 
 def oracle_tag_baseline(
@@ -219,7 +262,7 @@ def oracle_tag_baseline(
     return TaggedSentence(sentence_id, tuple(tokens), tuple(bio_repair(raw)))
 
 
-def oracle_featurize(rep: Representation, feature_dim: int) -> SparseVector:
+def oracle_featurize(rep: Representation, feature_dim: int) -> SparseRows:
     """Hashed counts of (segment, token) and (segment, token-bigram) pairs
     within each run of one segment, one `hash_feature` call per feature."""
     _check_dim(feature_dim)
@@ -251,8 +294,65 @@ def render_representation(rep: Representation) -> str:
     return " ".join(rep.tokens)
 
 
+def _example_gradients(
+    model: MentionClassifier, x: SparseRows, label: object
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """Per-example loss and d(loss)/d(logits) for each head of a dense
+    model; x is one row."""
+    p_bin, p_type = oracle_forward(model, x)
+    if model.single_head:
+        gold_class = int(label)
+        dz_type = p_type.copy()
+        dz_type[gold_class] -= 1.0
+        return loss_single_head(p_type, gold_class), None, dz_type
+
+    gate, etype = label
+    value = loss(p_bin, p_type, gate, etype)
+    dz_bin = p_bin.copy()
+    dz_bin[GATE_NE if gate is GateDecision.NE else GATE_O] -= 1.0
+    dz_type = None
+    if gate is GateDecision.NE:
+        dz_type = p_type.copy()
+        dz_type[TYPE_INDEX[etype]] -= 1.0
+    return value, dz_bin, dz_type
+
+
+def oracle_fit(
+    model: MentionClassifier,
+    features: Sequence[SparseRows],
+    labels: Sequence[object],
+    config: TrainingConfig,
+) -> list[float]:
+    """The per-example descent loop: a mini-batch's gradients come from
+    its pre-update weights, then each example's updates are applied in
+    batch order, to the columns of its features only."""
+    rng = np.random.default_rng(config.seed)
+    n = len(features)
+    epoch_losses: list[float] = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_total = 0.0
+        for lo in range(0, n, config.batch_size):
+            batch = order[lo : lo + config.batch_size]
+            scale = config.learning_rate / len(batch)
+            terms = [_example_gradients(model, features[i], labels[i]) for i in batch]
+            epoch_total += sum(t[0] for t in terms)
+            for i, (_, dz_bin, dz_type) in zip(batch, terms):
+                x = features[i]
+                if dz_bin is not None:
+                    model.b_bin -= scale * dz_bin
+                    if x.nnz:
+                        model.W_bin[:, x.indices] -= scale * np.outer(dz_bin, x.values)
+                if dz_type is not None:
+                    model.b_type -= scale * dz_type
+                    if x.nnz:
+                        model.W_type[:, x.indices] -= scale * np.outer(dz_type, x.values)
+        epoch_losses.append(epoch_total / n)
+    return epoch_losses
+
+
 def batch_loss(
-    model: MentionClassifier, features: Sequence[SparseVector], labels: Sequence[object]
+    model: MentionClassifier, features: Sequence[SparseRows], labels: Sequence[object]
 ) -> float:
     """Mean per-example loss over a batch."""
     total = 0.0
@@ -262,7 +362,7 @@ def batch_loss(
 
 
 def batch_gradients(
-    model: MentionClassifier, features: Sequence[SparseVector], labels: Sequence[object]
+    model: MentionClassifier, features: Sequence[SparseRows], labels: Sequence[object]
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean batch loss plus dense gradients for every parameter array.
 

@@ -317,7 +317,7 @@ def test_criterion_05_gate_rule():
             sentence = [vocab[int(i)] for i in rng.integers(0, len(vocab), size=n)]
             mention = Mention(0, 1, (sentence[0],), 0, 1.0)
             rep = build_representation(sentence, mention, "", 64)
-            p_bin, p_type = forward(model, featurize(rep, 32))
+            (p_bin,), (p_type,) = forward(model, featurize(rep, 32))
             expected = None if int(np.argmax(p_bin)) == GATE_O else ENTITY_TYPES[int(np.argmax(p_type))]
             assert predict(model, rep) == expected
         detail["text"] = (

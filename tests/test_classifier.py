@@ -11,8 +11,13 @@ from oracles import (
     batch_loss,
     dense_model,
     hash_feature,
+    one_row,
     oracle_featurize,
+    oracle_fit,
+    oracle_forward,
     oracle_head_logits,
+    oracle_softmax,
+    split_rows,
 )
 
 from linkrush.classifier import (
@@ -23,14 +28,12 @@ from linkrush.classifier import (
     GateDecision,
     MentionClassifier,
     SparseRows,
-    SparseVector,
     TrainExample,
     TrainingConfig,
     WIKI_DIGEST_MEMO_SIZE,
     _KEY_SEP,
     _feature_digests,
     _fit,
-    _head_logits,
     _rows_logits,
     _wiki_digests,
     decide,
@@ -208,8 +211,9 @@ class TestForward:
         model = MentionClassifier.zeros(DIM)
         rep = make_rep(["a", "b"], 0, 1, "c")
         p_bin, p_type = forward(model, featurize(rep, DIM))
-        assert p_bin == pytest.approx([0.5, 0.5], abs=1e-12)
-        assert p_type == pytest.approx([1 / 6] * 6, abs=1e-12)
+        assert p_bin.shape == (1, 2) and p_type.shape == (1, 6)
+        assert p_bin[0] == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert p_type[0] == pytest.approx([1 / 6] * 6, abs=1e-12)
 
     def test_distributions_sum_to_one(self):
         rng = np.random.default_rng(2)
@@ -233,15 +237,44 @@ class TestForward:
         model = MentionClassifier.zeros(DIM, single_head=True)
         p_bin, p_type = forward(model, featurize(make_rep(["a"], 0, 1, ""), DIM))
         assert p_bin is None
-        assert len(p_type) == 7
-        assert p_type == pytest.approx([1 / 7] * 7, abs=1e-12)
+        assert p_type.shape == (1, 7)
+        assert p_type[0] == pytest.approx([1 / 7] * 7, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         model = MentionClassifier.zeros(DIM)
         big = featurize(make_rep(["a"], 0, 1, ""), 2**10)
-        if int(big.indices[-1]) >= DIM:  # hash may land low; force the check
-            with pytest.raises(ValueError):
-                forward(model, big)
+        assert int(big.indices[-1]) >= DIM
+        with pytest.raises(ValueError, match="exceeds model dimension"):
+            forward(model, big)
+        rows = SparseRows.stack([featurize(make_rep(["a"], 0, 1, ""), DIM), big])
+        with pytest.raises(ValueError, match="exceeds model dimension"):
+            forward(model, rows)
+
+    def test_rows_score_like_one_row_each(self):
+        """A stack of rows gets, row for row, the probability bytes of the
+        dense one-row oracle: the batched softmax is the 1-D one."""
+        rng = np.random.default_rng(14)
+        for single_head in (False, True):
+            model = randomize(MentionClassifier.zeros(DIM, single_head=single_head), rng, 3.0)
+            singles = [featurize(random_rep(rng), DIM) for _ in range(40)]
+            p_bin, p_type = forward(model, SparseRows.stack(singles))
+            assert p_type.shape == (40, 7 if single_head else 6)
+            for row, x in enumerate(singles):
+                want_bin, want_type = oracle_forward(model, x)
+                assert p_type[row].tobytes() == want_type.tobytes()
+                if single_head:
+                    assert p_bin is None
+                else:
+                    assert p_bin[row].tobytes() == want_bin.tobytes()
+
+    def test_softmax_rows_equal_the_one_dimensional_form(self):
+        rng = np.random.default_rng(15)
+        for width in (2, 6, 7):
+            logits = rng.normal(0.0, 8.0, (2000, width))
+            got = softmax(logits)
+            for row, want in zip(got, logits):
+                assert row.tobytes() == oracle_softmax(want).tobytes()
+            assert softmax(logits[0]).tobytes() == got[0].tobytes()
 
 
 class TestLoss:
@@ -402,6 +435,109 @@ class TestTrain:
         assert np.isfinite(model.W_bin).all()
 
 
+def random_training_problem(rng, dim, single_head, tie_prone):
+    """20 to 120 one-row feature sets of up to 29 features, normalized
+    counts in {1, 2, 3} when `tie_prone` (so rows repeat values and
+    columns), and their labels: 7-way classes, or gate and type labels
+    with about 40% non-entities."""
+    rows = []
+    for _ in range(int(rng.integers(20, 121))):
+        indices = np.unique(rng.integers(0, dim, int(rng.integers(1, min(dim, 30)))))
+        if tie_prone:
+            counts = rng.integers(1, 4, len(indices)).astype(np.float64)
+        else:
+            counts = rng.random(len(indices)) + 0.01
+        rows.append(one_row(indices.astype(np.int64), counts / math.sqrt(float(counts @ counts))))
+    if single_head:
+        return rows, [int(c) for c in rng.integers(0, 7, len(rows))]
+    labels = [
+        (GateDecision.O, None) if rng.random() < 0.4
+        else (GateDecision.NE, ENTITY_TYPES[int(rng.integers(0, 6))])
+        for _ in rows
+    ]
+    return rows, labels
+
+
+def assert_fit_equals_oracle(rows, labels, config, dim, single_head):
+    fast = MentionClassifier.zeros(dim, single_head=single_head)
+    slow = MentionClassifier.zeros(dim, single_head=single_head)
+    got = _fit(fast, SparseRows.stack(rows), labels, config)
+    want = oracle_fit(slow, rows, labels, config)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    for name in ("W_type", "b_type") + (() if single_head else ("W_bin", "b_bin")):
+        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
+
+
+class TestFitMatchesOracle:
+    """`_fit` scores a mini-batch with one `forward` and applies its
+    updates with `np.subtract.at`; `oracles.oracle_fit`, the per-example
+    loop, must give the same weight, bias and epoch-loss bytes."""
+
+    def test_seeded_grid(self):
+        rng = np.random.default_rng(16)
+        problems = 0
+        for dim in (8, 64, 4096):
+            for batch_size in (1, 3, 32, 1000):
+                for single_head in (False, True):
+                    for learning_rate in (0.1, 1.0, 3.0):
+                        for tie_prone in (False, True):
+                            rows, labels = random_training_problem(rng, dim, single_head, tie_prone)
+                            config = TrainingConfig(
+                                learning_rate=learning_rate, epochs=3, batch_size=batch_size,
+                                seed=int(rng.integers(1000)),
+                            )
+                            assert_fit_equals_oracle(rows, labels, config, dim, single_head)
+                            problems += 1
+        assert problems == 144
+
+    def test_featurized_examples(self):
+        examples = separable_examples()
+        rows = [featurize(e.rep, DIM) for e in examples]
+        for single_head in (False, True):
+            if single_head:
+                labels = [OTHER_CLASS if e.entity_type is None else ENTITY_TYPES.index(e.entity_type)
+                          for e in examples]
+            else:
+                labels = [(e.gate, e.entity_type) for e in examples]
+            for batch_size in (1, 5, 32):
+                config = TrainingConfig(epochs=6, batch_size=batch_size, seed=batch_size)
+                assert_fit_equals_oracle(rows, labels, config, DIM, single_head)
+
+    def test_non_entity_leaves_type_head_alone(self):
+        """Only non-entities: the type head, -0.0 weights included, keeps
+        its bits, while the gate head learns."""
+        model = MentionClassifier.zeros(DIM)
+        model.W_type[:] = -0.0
+        model.b_type[:] = -0.0
+        rows = [featurize(e.rep, DIM) for e in separable_examples()]
+        _fit(model, SparseRows.stack(rows), [(GateDecision.O, None)] * len(rows),
+             TrainingConfig(epochs=3, batch_size=4))
+        assert model.W_type.view("<u8").tobytes() == np.full_like(model.W_type, -0.0).view("<u8").tobytes()
+        assert model.b_type.view("<u8").tobytes() == np.full(6, -0.0).view("<u8").tobytes()
+        assert model.W_bin.any()
+
+
+class TestSparseRows:
+    def test_stack_and_take(self):
+        rng = np.random.default_rng(17)
+        singles = [featurize(random_rep(rng), DIM) for _ in range(12)]
+        stacked = SparseRows.stack(singles)
+        assert len(stacked) == 12 and stacked.nnz == sum(x.nnz for x in singles)
+        assert stacked.indptr.tolist() == np.cumsum([0] + [x.nnz for x in singles]).tolist()
+        for got, want in zip(split_rows(stacked), singles):
+            assert_same_vector(got, want)
+        order = np.array([5, 0, 11, 5, 3])
+        taken = stacked.take(order)
+        assert len(taken) == len(order)
+        for got, i in zip(split_rows(taken), order):
+            assert_same_vector(got, singles[i])
+        assert len(stacked.take(np.array([], dtype=np.int64))) == 0
+
+    def test_featurize_returns_one_row(self):
+        x = featurize(make_rep(["a", "b"], 0, 1, "c d"), DIM)
+        assert len(x) == 1 and x.indptr.tolist() == [0, x.nnz] and x.nnz == len(x.values)
+
+
 class TestGate:
     def test_gate_vetoes_type_head(self):
         p_bin = np.array([0.1, 0.9])  # O wins
@@ -444,7 +580,8 @@ class TestGate:
         for _ in range(30):
             model = randomize(MentionClassifier.zeros(DIM), rng, scale=2.0)
             rep = random_rep(rng)
-            assert predict(model, rep) == decide(*forward(model, featurize(rep, DIM)))
+            p_bin, p_type = forward(model, featurize(rep, DIM))
+            assert predict(model, rep) == decide(p_bin[0], p_type[0])
 
 
 class TestPersistence:
@@ -541,7 +678,7 @@ def compact_prone_model(rng, kind, dim, single_head):
 
 
 def random_features(rng, dim, count, touched=()):
-    """`count` sparse vectors of one to twelve positive values, at
+    """`count` one-row `SparseRows` of one to twelve positive values, at
     columns drawn uniformly from all `dim` or, half the time when given,
     from `touched`."""
     vectors = []
@@ -551,7 +688,7 @@ def random_features(rng, dim, count, touched=()):
         if len(touched):
             indices = np.where(rng.random(size) < 0.5, rng.choice(touched, size=size), indices)
         indices = np.unique(indices)
-        vectors.append(SparseVector(indices.astype(np.int64), rng.random(len(indices)) + 0.01))
+        vectors.append(one_row(indices.astype(np.int64), rng.random(len(indices)) + 0.01))
     return vectors
 
 
@@ -580,11 +717,7 @@ class TestCompactModels:
                     assert loaded.W_type.shape == (len(model.b_type), touched.sum() + 1)
                     assert (loaded.columns[~touched] == touched.sum()).all()
                     vectors = random_features(rng, dim, 40, np.flatnonzero(touched))
-                    rows = SparseRows(
-                        np.cumsum([0] + [x.nnz for x in vectors]),
-                        np.concatenate([x.indices for x in vectors]),
-                        np.concatenate([x.values for x in vectors]),
-                    )
+                    rows = SparseRows.stack(vectors)
                     hit = loaded.columns[rows.indices]
                     assert (hit == touched.sum()).any() and (hit < touched.sum()).any()
                     for W_name, b_name in heads:
@@ -592,17 +725,17 @@ class TestCompactModels:
                         args = getattr(loaded, W_name), getattr(loaded, b_name), loaded.columns
                         want = [oracle_head_logits(W, b, x) for x in vectors]
                         for x, logits in zip(vectors, want):
-                            assert _head_logits(*args, x).tobytes() == logits.tobytes()
+                            assert _rows_logits(*args, x).tobytes() == logits[None].tobytes()
                         assert _rows_logits(*args, rows).tobytes() == np.stack(want).tobytes()
                     for x in vectors:
                         p_bin, p_type = forward(loaded, x)
-                        want = softmax(oracle_head_logits(model.W_type, model.b_type, x))
-                        assert p_type.tobytes() == want.tobytes()
+                        want = oracle_softmax(oracle_head_logits(model.W_type, model.b_type, x))
+                        assert p_type.tobytes() == want[None].tobytes()
                         if single_head:
                             assert p_bin is None
                         else:
-                            want = softmax(oracle_head_logits(model.W_bin, model.b_bin, x))
-                            assert p_bin.tobytes() == want.tobytes()
+                            want = oracle_softmax(oracle_head_logits(model.W_bin, model.b_bin, x))
+                            assert p_bin.tobytes() == want[None].tobytes()
 
     def test_weight_bits_round_trip(self, tmp_path):
         """Every weight comes back with its bits, -0.0 included, and an
@@ -641,7 +774,7 @@ class TestCompactModels:
         save_model(compact_prone_model(np.random.default_rng(25), "gaussian", DIM, False), path)
         x = featurize(random_rep(np.random.default_rng(26)), DIM)
         with pytest.raises(ValueError, match="dense"):
-            _fit(load_model(path), [x], [(GateDecision.NE, EntityType.PER)], TrainingConfig(epochs=1))
+            _fit(load_model(path), x, [(GateDecision.NE, EntityType.PER)], TrainingConfig(epochs=1))
 
 
 def test_train_example_validation():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,17 @@ class TestErrorPaths:
         )
         assert code == 1
         assert "--single-head" in err
+
+    @pytest.mark.parametrize("kind, flag", [("mention", "--turkish"), ("window", "--single-head")])
+    def test_flag_of_the_other_kind_exits_one(self, tmp_path, capsys, kind, flag):
+        out = tmp_path / "m.bin"
+        code, _, err = run(
+            capsys, "train", "--kind", kind, flag, "--corpus", str(tmp_path / "unread.bin"),
+            "--data", str(FIXTURES / "gold.conll"), "--out", str(out),
+        )
+        assert code == 1
+        assert flag in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_mention_kind_requires_corpus(self, tmp_path, capsys):
         code, _, err = run(
@@ -527,10 +539,11 @@ def _drop_b_type(header, weights):
     return header, weights[: -7 * 8] if header["single_head"] else weights[: -6 * 8]
 
 
-def _narrow(dim):
+def _narrow(dim, *, keep_highest=False):
     """Keep only the touched columns below `dim`, cut every weight matrix
     to them and say so consistently in the header, so only the value of
-    `feature_dim` is wrong."""
+    `feature_dim` is wrong. With `keep_highest`, the highest touched
+    column, at or above `dim`, stays too, so only its id is wrong."""
 
     def edit(header, weights):
         values, offset = {}, 0
@@ -539,6 +552,9 @@ def _narrow(dim):
             values[name] = np.frombuffer(weights, dtype, count, offset).reshape(shape)
             offset += count * np.dtype(dtype).itemsize
         keep = values["touched"] < dim
+        if keep_highest:
+            assert values["touched"][-1] >= dim
+            keep[-1] = True
         parts = []
         for entry in header["arrays"]:
             array = values[entry[0]]
@@ -572,24 +588,82 @@ def _delete(key):
 
 _HEADER_KEYS = ("arrays", "crc32", "epoch_losses", "feature_dim", "kind", "single_head", "turkish")
 
+# Each case's edit, and the words of the check that must refuse it (per
+# model kind where the kinds differ).
 _BAD_HEADERS = {
-    **{f"no-{key}": _delete(key) for key in _HEADER_KEYS},
-    "feature_dim-2048-over-1024-wide-arrays": _set("feature_dim", 2048),
-    "feature_dim-not-a-power-of-two": _set("feature_dim", 1000),
-    "feature_dim-1000-with-1000-wide-arrays": _narrow(1000),
-    "feature_dim-0-with-0-wide-arrays": _narrow(0),
-    "feature_dim-a-string": _set("feature_dim", "1024"),
-    "feature_dim-a-bool": _set("feature_dim", True),
-    "arrays-without-b_type": _drop_b_type,
-    "arrays-not-a-list": _set("arrays", "W_type"),
-    "single_head-flipped": lambda h, w: _set("single_head", not h["single_head"])(h, w),
-    "single_head-a-number": _set("single_head", 1),
-    "turkish-null": _set("turkish", None),
-    "epoch_losses-a-string": _set("epoch_losses", "0.5"),
-    "epoch_losses-with-a-bool": _set("epoch_losses", [0.5, True]),
-    "unknown-key": _set("dims", 1024),
-    "header-a-list": lambda h, w: ([h], w),
+    **{f"no-{key}": (_delete(key), f"missing ['{key}']") for key in _HEADER_KEYS if key != "kind"},
+    "no-kind": (_delete("kind"), "model, found None"),
+    "feature_dim-512-below-a-touched-id": (
+        _narrow(512, keep_highest=True), "touched column ids must increase strictly within [0, 512)"
+    ),
+    "feature_dim-not-a-power-of-two": (_set("feature_dim", 1000), "feature_dim must be a power of two"),
+    "feature_dim-1000-with-1000-wide-arrays": (_narrow(1000), "feature_dim must be a power of two"),
+    "feature_dim-0-with-0-wide-arrays": (_narrow(0), "feature_dim must be a power of two"),
+    "feature_dim-a-string": (_set("feature_dim", "1024"), "feature_dim must be a power of two"),
+    "feature_dim-a-bool": (_set("feature_dim", True), "feature_dim must be a power of two"),
+    "arrays-without-b_type": (_drop_b_type, "do not match the"),
+    "arrays-not-a-list": (_set("arrays", "W_type"), "arrays must start with the ids"),
+    "single_head-flipped": (
+        lambda h, w: _set("single_head", not h["single_head"])(h, w),
+        {"mention": "do not match the single-head layout",
+         "window": "a window tagger must be a single-head model"},
+    ),
+    "single_head-a-number": (_set("single_head", 1), "single_head must be true or false"),
+    "turkish-null": (_set("turkish", None), "turkish must be true or false"),
+    "epoch_losses-a-string": (_set("epoch_losses", "0.5"), "epoch_losses must be a list"),
+    "epoch_losses-with-a-bool": (_set("epoch_losses", [0.5, True]), "epoch_losses must be a list"),
+    "unknown-key": (_set("dims", 1024), "unexpected ['dims']"),
+    "header-a-list": (lambda h, w: ([h], w), "malformed model header"),
 }
+
+
+def _resigned(header, weights):
+    """The header with its crc32, when it still has one, made right for the
+    edited header and weights, so that the edit alone is wrong."""
+    if isinstance(header, dict) and "crc32" in header:
+        unsigned = {key: value for key, value in header.items() if key != "crc32"}
+        header["crc32"] = zlib.crc32(weights, zlib.crc32(dump_json(unsigned)))
+    return header
+
+
+class TestTrainingFlags:
+    """A training flag out of its range exits 2, names the setting and
+    writes no model, for either kind."""
+
+    @pytest.mark.parametrize("kind", ["mention", "window"])
+    @pytest.mark.parametrize(
+        "flag, value, setting",
+        [
+            ("--batch-size", "-3", "batch_size"),
+            ("--batch-size", "0", "batch_size"),
+            ("--epochs", "0", "epochs"),
+            ("--epochs", "-1", "epochs"),
+            ("--lr", "nan", "learning_rate"),
+            ("--lr", "inf", "learning_rate"),
+            ("--lr", "-0.5", "learning_rate"),
+        ],
+    )
+    def test_bad_value_exits_two(self, pipeline, tmp_path, capsys, kind, flag, value, setting):
+        out = tmp_path / "m.bin"
+        code, stdout, err = run(
+            capsys, "train", "--kind", kind, "--data", str(FIXTURES / "gold.conll"),
+            *(["--corpus", str(pipeline["index"])] if kind == "mention" else []),
+            "--feature-dim", "1024", flag, value, "--out", str(out),
+        )
+        assert (code, stdout) == (2, ""), err
+        assert setting in err and value in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["mention", "window"])
+    def test_zero_learning_rate_is_accepted(self, pipeline, tmp_path, capsys, kind):
+        out = tmp_path / "m.bin"
+        code, _, err = run(
+            capsys, "train", "--kind", kind, "--data", str(FIXTURES / "gold.conll"),
+            *(["--corpus", str(pipeline["index"])] if kind == "mention" else []),
+            "--feature-dim", "1024", "--epochs", "1", "--lr", "0", "--out", str(out),
+        )
+        assert code == 0, err
+        assert out.exists()
 
 
 class TestModelFileValidation:
@@ -613,13 +687,26 @@ class TestModelFileValidation:
     @pytest.mark.parametrize("kind", ["mention", "window"])
     @pytest.mark.parametrize("case", sorted(_BAD_HEADERS))
     def test_bad_header_exits_two(self, pipeline, small_models, tmp_path, capsys, kind, case):
-        header, weights = _BAD_HEADERS[case](*_split_model(small_models[kind]))
+        """Each edit, re-signed, is refused by its own check, never by the
+        checksum."""
+        edit, check = _BAD_HEADERS[case]
+        header, weights = edit(*_split_model(small_models[kind]))
         path = tmp_path / "bad.bin"
-        write_container(path, MAGIC_MODEL, dump_json(header) + b"\n" + weights)
+        write_container(path, MAGIC_MODEL, dump_json(_resigned(header, weights)) + b"\n" + weights)
         code, out, err = self._tag(capsys, pipeline, small_models, kind, path)
         assert code == 2, err
         assert out == ""
         assert "Traceback" not in err and str(path) in err
+        assert (check[kind] if isinstance(check, dict) else check) in err
+        assert "checksum" not in err
+
+    @pytest.mark.parametrize("kind", ["mention", "window"])
+    def test_resigned_header_loads(self, pipeline, small_models, tmp_path, capsys, kind):
+        """Re-signing an unedited header gives back the file's own bytes."""
+        header, weights = _split_model(small_models[kind])
+        path = tmp_path / "same.bin"
+        write_container(path, MAGIC_MODEL, dump_json(_resigned(header, weights)) + b"\n" + weights)
+        assert path.read_bytes() == small_models[kind].read_bytes()
 
     @pytest.mark.parametrize("kind", ["mention", "window"])
     @pytest.mark.parametrize("cut", [8, 9, 100, "header"])

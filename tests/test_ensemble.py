@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracles import dense_model, oracle_tag_baseline, oracle_window_features
+from oracles import (
+    dense_model,
+    oracle_head_logits,
+    oracle_tag_baseline,
+    oracle_window_features,
+    split_rows,
+)
 
 from linkrush import ensemble
 from linkrush.classifier import (
     WINDOW_DIGEST_MEMO_SIZE,
     GateDecision,
     MentionClassifier,
-    SparseVector,
+    SparseRows,
     TrainingConfig,
-    _head_logits,
     _rows_logits,
 )
 from linkrush.ensemble import (
@@ -77,21 +82,21 @@ class TestRoute:
 
 class TestWindowFeatures:
     def test_edge_padding(self):
-        [vec] = window_features(["solo"], DIM)
+        [vec] = split_rows(window_features(["solo"], DIM))
         # one real token plus six edge markers still yields a unit vector
         assert float(vec.values @ vec.values) == pytest.approx(1.0, abs=1e-12)
 
     def test_position_sensitivity(self):
         # same bag of tokens, different focus position -> different features
         tokens = ["a", "b", "c", "d", "e", "f", "g"]
-        vectors = window_features(tokens, DIM)
+        vectors = split_rows(window_features(tokens, DIM))
         left, right = vectors[1], vectors[5]
         assert not np.array_equal(left.indices, right.indices)
 
     def test_deterministic(self):
         tokens = ["the", "red", "mill"]
-        a = window_features(tokens, DIM)[1]
-        b = window_features(tokens, DIM)[1]
+        a = split_rows(window_features(tokens, DIM))[1]
+        b = split_rows(window_features(tokens, DIM))[1]
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.values, b.values)
 
@@ -100,7 +105,7 @@ def assert_rows_equal_oracle(tokens, dim):
     rows = window_features(tokens, dim)
     assert len(rows) == len(tokens)
     assert rows.indptr[0] == 0 and rows.indptr[-1] == len(rows.indices) == len(rows.values)
-    for position, got in enumerate(rows):
+    for position, got in enumerate(split_rows(rows)):
         want = oracle_window_features(tokens, position, dim)
         assert got.indices.dtype == want.indices.dtype == np.int64
         assert got.indices.tobytes() == want.indices.tobytes()
@@ -130,19 +135,23 @@ class TestWindowFeaturesMatchOracle:
             for dim in (2**18, 8, 2):
                 assert_rows_equal_oracle(tokens, dim)
         empty = window_features([], DIM)
-        assert len(empty) == 0 and list(empty) == []
+        assert len(empty) == 0 and split_rows(empty) == []
         assert empty.indptr.tolist() == [0]
         assert empty.indices.size == empty.values.size == 0
 
     def test_rows_index_like_a_sequence(self):
+        """`take` picks rows by position, in the order asked, repeats
+        included; a row past the end raises IndexError."""
         rows = window_features(["a", "b", "c"], DIM)
-        listed = list(rows)
-        for position in (0, 1, 2, -1, -3):
-            assert rows[position].indices.tobytes() == listed[position].indices.tobytes()
-            assert rows[position].values.tobytes() == listed[position].values.tobytes()
-        for position in (3, -4):
-            with pytest.raises(IndexError):
-                rows[position]
+        listed = split_rows(rows)
+        positions = np.array([2, 0, 1, 1])
+        taken = rows.take(positions)
+        assert len(taken) == len(positions)
+        for got, position in zip(split_rows(taken), positions):
+            assert got.indices.tobytes() == listed[position].indices.tobytes()
+            assert got.values.tobytes() == listed[position].values.tobytes()
+        with pytest.raises(IndexError):
+            rows.take(np.array([3]))
 
     def test_row_numbers_must_fit_in_64_bits(self):
         assert len(window_features(["a"], 2**64)) == 1
@@ -193,7 +202,8 @@ def person_tagger():
 class TestTagBaselineMatchesOracle:
     """`tag_baseline` scores a sentence's rows at once; the per-token
     loop of `oracles.oracle_tag_baseline` must give the same tags, and
-    each row's logits must have the bytes `_head_logits` gives it."""
+    each row's logits must have the bytes the dense one-row gather
+    `oracles.oracle_head_logits` gives it."""
 
     def test_seeded_sentences(self):
         sentences = seeded_sentences(21, 60)
@@ -212,8 +222,8 @@ class TestTagBaselineMatchesOracle:
                     rows = window_features(tokens, dim)
                     logits = _rows_logits(W, b, columns, rows)
                     assert logits.shape == (len(tokens), len(b))
-                    for got, row in zip(logits, rows):
-                        assert got.tobytes() == _head_logits(W, b, columns, row).tobytes()
+                    for got, row in zip(logits, split_rows(rows)):
+                        assert got.tobytes() == oracle_head_logits(W, b, row).tobytes()
 
     def test_no_rows_no_logits(self):
         tagger = random_taggers(DIM, 0)[0]
@@ -249,7 +259,7 @@ class TestWindowDigestMemo:
         monkeypatch.setattr(ensemble, "_feature_digests", counting)
         rows = window_features(["x", "y", "x", "x"], DIM)
         assert sorted(hashed) == ["[EDGE]", "x", "y"]
-        for position, row in enumerate(rows):
+        for position, row in enumerate(split_rows(rows)):
             want = oracle_window_features(["x", "y", "x", "x"], position, DIM)
             assert row.indices.tobytes() == want.indices.tobytes()
             assert row.values.tobytes() == want.values.tobytes()
@@ -258,8 +268,8 @@ class TestWindowDigestMemo:
         # Position 0 of ["x", "[EDGE]"] sees the same seven tokens as
         # position 0 of ["x"], whose right neighbour is padding.
         for dim in (2**18, 8):
-            padded = window_features(["x"], dim)[0]
-            literal = window_features(["x", "[EDGE]"], dim)[0]
+            padded = split_rows(window_features(["x"], dim))[0]
+            literal = split_rows(window_features(["x", "[EDGE]"], dim))[0]
             assert literal.indices.tobytes() == padded.indices.tobytes()
             assert literal.values.tobytes() == padded.values.tobytes()
             want = oracle_window_features(["x", "[EDGE]"], 0, dim)
@@ -313,24 +323,26 @@ class TestWindowTagger:
         assert tag_baseline(["anna"], "one", person_tagger()).tags == ("B-PER",)
 
     def test_one_window_features_call_and_no_vector_per_sentence(self, monkeypatch):
+        """A sentence is one `SparseRows`, never one feature object per
+        token."""
         tagger = train_baseline(per_token_fixture(), TrainingConfig(epochs=5), feature_dim=DIM)
-        calls = {"window_features": 0, "SparseVector": 0}
+        calls = {"window_features": 0, "SparseRows": 0}
 
         def counting_window_features(*args):
             calls["window_features"] += 1
             return real_window_features(*args)
 
         def counting_init(self, *args):
-            calls["SparseVector"] += 1
+            calls["SparseRows"] += 1
             real_init(self, *args)
 
-        real_window_features, real_init = ensemble.window_features, SparseVector.__init__
+        real_window_features, real_init = ensemble.window_features, SparseRows.__init__
         monkeypatch.setattr(ensemble, "window_features", counting_window_features)
-        monkeypatch.setattr(SparseVector, "__init__", counting_init)
+        monkeypatch.setattr(SparseRows, "__init__", counting_init)
         sentences = per_token_fixture()
         for sentence in sentences:
             tag_baseline(sentence.tokens, sentence.sentence_id, tagger)
-        assert calls == {"window_features": len(sentences), "SparseVector": 0}
+        assert calls == {"window_features": len(sentences), "SparseRows": len(sentences)}
 
     def test_empty_training_rejected(self):
         with pytest.raises(ValueError):
