@@ -323,7 +323,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     sentences = _read_input(args.input, args.format, turkish=index.turkish)
     normalized = ([normalize_token(t, turkish=index.turkish) for t in s.tokens] for s in sentences)
     stats = pool_stats(retrieve_pooled(tokens, index, args.k) for tokens in normalized)
-    print(json.dumps(stats.as_dict(), sort_keys=True))
+    print(json.dumps(stats, sort_keys=True))
     return 0
 
 

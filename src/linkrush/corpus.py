@@ -23,8 +23,10 @@ from .tokenizer import normalize_phrase
 
 _LINK_RE = re.compile(r"\[\[([^\[\]]*?)\]\]")
 
-# Paragraphs are separated by one or more blank lines.
+# Paragraphs are separated by one or more blank lines; a document's lead
+# is its first LEAD_PARAGRAPHS of them.
 _PARAGRAPH_RE = re.compile(r"\n\s*\n")
+LEAD_PARAGRAPHS = 2
 
 
 @dataclass(frozen=True)
@@ -170,10 +172,10 @@ def build_referred_by(
     return referred_by
 
 
-def lead_paragraphs(body: str, count: int = 2) -> str:
-    """First `count` paragraphs of a body, joined by one blank line."""
+def lead_paragraphs(body: str) -> str:
+    """First `LEAD_PARAGRAPHS` paragraphs of a body, joined by one blank line."""
     paragraphs = [p for p in _PARAGRAPH_RE.split(body) if p.strip()]
-    return "\n\n".join(paragraphs[:count])
+    return "\n\n".join(paragraphs[:LEAD_PARAGRAPHS])
 
 
 def build_documents(

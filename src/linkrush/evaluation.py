@@ -49,33 +49,26 @@ class TaggedSentence:
         return len(self.tokens)
 
 
-def parse_conll(
-    lines: Iterable[str],
-    *,
-    source_name: str = "<conll>",
-    warnings: list[str] | None = None,
-) -> list[TaggedSentence]:
+def parse_conll(lines: Iterable[str], *, source_name: str = "<conll>") -> list[TaggedSentence]:
     """Parse CoNLL text: blank-line-separated sentences, `#` comments.
 
     A `# id ...` comment names the sentence that follows it. Data lines
     carry the token in the first column and the BIO tag in the last;
-    middle columns are ignored. Dangling I-X tags are accepted and, when
-    a `warnings` list is supplied, reported into it.
+    middle columns are ignored. Dangling I-X tags are accepted as read;
+    scoring repairs them and `EvalReport.repaired_tag_count` counts them.
     """
     sentences: list[TaggedSentence] = []
     sentence_id = ""
     tokens: list[str] = []
     tags: list[str] = []
-    prev_type: str | None = None
 
     def flush() -> None:
-        nonlocal sentence_id, tokens, tags, prev_type
+        nonlocal sentence_id, tokens, tags
         if tokens:
             sentences.append(TaggedSentence(sentence_id, tuple(tokens), tuple(tags)))
         sentence_id = ""
         tokens = []
         tags = []
-        prev_type = None
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -96,22 +89,15 @@ def parse_conll(
             raise DataFormatError(
                 f"{source_name} line {lineno}: invalid tag {tag!r}"
             )
-        if tag.startswith("I-") and tag[2:] != prev_type and warnings is not None:
-            warnings.append(
-                f"{source_name} line {lineno}: {tag} does not continue a span"
-            )
-        prev_type = tag[2:] if tag != "O" else None
         tokens.append(token)
         tags.append(tag)
     flush()
     return sentences
 
 
-def read_conll(path: str | Path, *, warnings: list[str] | None = None) -> list[TaggedSentence]:
+def read_conll(path: str | Path) -> list[TaggedSentence]:
     text = Path(path).read_text(encoding="utf-8")
-    return parse_conll(
-        text.splitlines(), source_name=str(path), warnings=warnings
-    )
+    return parse_conll(text.splitlines(), source_name=str(path))
 
 
 def format_conll(sentences: Sequence[TaggedSentence]) -> str:

@@ -35,7 +35,6 @@ class Segment(Enum):
 class Representation:
     tokens: tuple[str, ...]
     segments: tuple[Segment, ...]
-    mention_ref: Mention
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -95,6 +94,4 @@ def build_representation(
         tokens.append(SEP_TOKEN)
         segments.append(Segment.SEP)
 
-    return Representation(
-        tokens=tuple(tokens), segments=tuple(segments), mention_ref=mention
-    )
+    return Representation(tuple(tokens), tuple(segments))

@@ -15,7 +15,7 @@ documents score above s or score s at a lower position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -81,26 +81,9 @@ def retrieve_pooled(
     return Pool({name: index.search_field(name, sentence_tokens) for name in fields}, k)
 
 
-@dataclass
-class PoolStats:
-    """Aggregate retrieval diagnostics over a batch of sentences."""
-
-    sentence_count: int = 0
-    avg_pool_size: float = 0.0
-    empty_pool_count: int = 0
-    avg_per_field: dict[str, float] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "sentence_count": self.sentence_count,
-            "avg_pool_size": self.avg_pool_size,
-            "empty_pool_count": self.empty_pool_count,
-            "avg_per_field": dict(sorted(self.avg_per_field.items())),
-        }
-
-
-def pool_stats(pools: Iterable[Pool]) -> PoolStats:
-    """Mean pool size, mean per-field result count, and empty-pool count.
+def pool_stats(pools: Iterable[Pool]) -> dict:
+    """Sentence count, mean pool size, empty-pool count and mean
+    per-field result count (fields sorted by name), as a JSON-ready dict.
 
     Each pool is read once and dropped, so a long input never holds more
     than one sentence's score vectors.
@@ -114,11 +97,9 @@ def pool_stats(pools: Iterable[Pool]) -> PoolStats:
         empty += size == 0
         for name, n in pool.per_field_counts.items():
             field_totals[name] = field_totals.get(name, 0) + n
-    if not count:
-        return PoolStats()
-    return PoolStats(
-        sentence_count=count,
-        avg_pool_size=size_total / count,
-        empty_pool_count=empty,
-        avg_per_field={name: total / count for name, total in field_totals.items()},
-    )
+    return {
+        "sentence_count": count,
+        "avg_pool_size": size_total / count if count else 0.0,
+        "empty_pool_count": empty,
+        "avg_per_field": {name: field_totals[name] / count for name in sorted(field_totals)},
+    }

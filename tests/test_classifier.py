@@ -181,9 +181,8 @@ class TestFeaturizeMatchesOracle:
         no_wiki = Representation(
             ("[CLS]", "the", "[SEP]", "mill", "[SEP]"),
             (Segment.CLS, Segment.CTX_L, Segment.SEP, Segment.MENTION, Segment.SEP),
-            empty_lead.mention_ref,
         )
-        nothing = Representation((), (), empty_lead.mention_ref)
+        nothing = Representation((), ())
         for rep in (truncated, make_rep(["the", "mill"], 1, 2, lead), empty_lead, no_wiki, nothing):
             for dim in (2**3, 2**18):
                 assert_same_vector(featurize(rep, dim), oracle_featurize(rep, dim))

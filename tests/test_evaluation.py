@@ -76,17 +76,6 @@ class TestParseConll:
         with pytest.raises(DataFormatError, match="line 1.*no tag column"):
             parse_conll(["loneword"])
 
-    def test_dangling_continuation_warns(self):
-        warnings: list[str] = []
-        parse_conll(["anna _ _ I-PER"], warnings=warnings)
-        assert len(warnings) == 1
-        assert "line 1" in warnings[0]
-
-    def test_proper_continuation_does_not_warn(self):
-        warnings: list[str] = []
-        parse_conll(["new _ _ B-LOC", "york _ _ I-LOC"], warnings=warnings)
-        assert warnings == []
-
     def test_missing_trailing_blank_line_ok(self):
         sentences = parse_conll(["anna _ _ B-PER"])
         assert len(sentences) == 1

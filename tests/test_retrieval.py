@@ -85,17 +85,17 @@ class TestPoolStats:
             retrieve_pooled(["zzz"], small_index, 10, sentence_id="b"),
         ]
         stats = pool_stats(pools)
-        assert stats.sentence_count == 2
-        assert stats.empty_pool_count == 1
+        assert stats["sentence_count"] == 2
+        assert stats["empty_pool_count"] == 1
         expected_avg = (len(pools[0].candidates) + 0) / 2
-        assert stats.avg_pool_size == expected_avg
-        assert stats.as_dict()["sentence_count"] == 2
+        assert stats["avg_pool_size"] == expected_avg
 
     def test_empty_input(self):
         stats = pool_stats([])
-        assert stats.sentence_count == 0
-        assert stats.avg_pool_size == 0.0
-        assert stats.empty_pool_count == 0
+        assert stats["sentence_count"] == 0
+        assert stats["avg_pool_size"] == 0.0
+        assert stats["empty_pool_count"] == 0
+        assert stats["avg_per_field"] == {}
 
     def test_fixture_pools_never_empty(self, fixture_index, gold_sentences):
         pools = [
@@ -103,9 +103,10 @@ class TestPoolStats:
             for s in gold_sentences
         ]
         stats = pool_stats(pools)
-        assert stats.sentence_count == len(gold_sentences)
-        assert stats.empty_pool_count == 0
-        assert stats.avg_pool_size > 0
+        assert stats["sentence_count"] == len(gold_sentences)
+        assert stats["empty_pool_count"] == 0
+        assert stats["avg_pool_size"] > 0
+        assert list(stats["avg_per_field"]) == sorted(FIELD_NAMES)
 
 
 def _masks_match_oracle(tokens, index, k, fields=FIELD_NAMES):
@@ -156,7 +157,7 @@ class TestPoolMasks:
             new = pool_stats(retrieve_masks(t, fixture_index, k) for t in tokens)
             old = pool_stats([retrieve_pooled(t, fixture_index, k) for t in tokens])
             assert new == old
-            assert new.empty_pool_count == 1
+            assert new["empty_pool_count"] == 1
 
     def test_mask_is_exact_top_k_under_ties(self):
         # Six identical documents tie on every score: the top-k is the
