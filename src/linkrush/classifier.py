@@ -8,12 +8,17 @@ the binary head can veto the type head entirely. A single-head variant
 folds the non-entity outcome into a 7th class instead; the per-token
 window tagger of `ensemble` is such a single-head model.
 
-Features are hashed (Weinberger et al., 2009) by `_feature_digests`, for
-`featurize` and the window tagger's `ensemble.window_features` alike.
-Every feature set is one `SparseRows` (CSR): `featurize` returns one row,
-L2-normalized by `_normalized`, `window_features` a sentence's rows. A
-mention, a training mini-batch and a long sentence are all scored by
-`_rows_logits`, which gathers the weights of all rows' features at once.
+Features are hashed (Weinberger et al., 2009) by `_feature_digests`.
+Every feature set is one `SparseRows` (CSR) from `_feature_rows`, which
+masks each row's hashes, counts them all with one sort keyed by row and
+L2-normalizes the rows together. `featurize` builds one
+mention's row, `ensemble.mention_features` the rows of all of a
+sentence's mentions and `ensemble.window_features` a sentence's window
+rows. A token's context hashes come from a bounded memo, and a lead's
+from a memo kept per document on its index. A sentence's mentions, a
+training mini-batch and a long sentence are each scored by one
+`_rows_logits` call, which gathers the weights of all rows' features at
+once.
 
 A model's weights are read through `columns`, a map from each of the
 `feature_dim` features to the column of `W_bin`/`W_type` that holds its
@@ -49,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataFormatError
-from .representation import Representation, Segment
+from .representation import CLS_TOKEN, MARKER_COUNT, SEP_TOKEN, Representation, Segment
 from .storage import (
     MAGIC_MODEL,
     dump_json,
@@ -136,23 +141,20 @@ def _feature_digests(keys: Sequence[str]) -> np.ndarray:
     return np.frombuffer(b"".join(digests), dtype="<u8")
 
 
-def _normalized(values: np.ndarray) -> np.ndarray:
-    """values over their L2 norm (a zero vector stays zero)."""
-    norm = math.sqrt(float(values @ values))
-    return values / norm if norm > 0.0 else values
-
-
 # Distinct tokens whose seven window-feature hashes `ensemble.window_features`
 # keeps. Sentence words follow a Zipfian law, so a few thousand frequent
 # tokens (and the edge padding) make most of every sentence. An entry holds
 # the token and its 56 bytes of digests; full, the memo holds about 3.3 MB.
 WINDOW_DIGEST_MEMO_SIZE = 2**14
 
-# Distinct WIKI runs whose feature hashes featurize keeps. A lead is the same
-# for every mention linked to its document, so its run recurs; the other
-# segments' runs are a few tokens of one sentence and are hashed afresh.
-# An entry holds the run's tokens and 8 bytes per feature (two per token).
-WIKI_DIGEST_MEMO_SIZE = 2048
+# Distinct tokens and token pairs whose context-feature hashes featurize and
+# `ensemble.mention_features` keep. Pairs repeat less than tokens: over
+# 20,000 short benchmark sentences read once, 81% of token lookups and 34%
+# of pair lookups hit. An entry holds its one or two tokens and 24 bytes
+# of digests.
+CONTEXT_DIGEST_MEMO_SIZE = 2**14
+
+_CONTEXT_SEGMENTS = (Segment.CTX_L, Segment.MENTION, Segment.CTX_R)
 
 
 def _run_keys(segment: str, run: Sequence[str]) -> list[str]:
@@ -164,46 +166,128 @@ def _run_keys(segment: str, run: Sequence[str]) -> list[str]:
     ]
 
 
-@functools.lru_cache(maxsize=WIKI_DIGEST_MEMO_SIZE)
-def _wiki_digests(run: tuple[str, ...]) -> np.ndarray:
-    """The 64-bit hashes of a WIKI run's features, read-only, as every
-    caller shares them."""
-    digests = _feature_digests(_run_keys(Segment.WIKI.value, run))
+@functools.lru_cache(maxsize=CONTEXT_DIGEST_MEMO_SIZE)
+def _context_key_digests(*tokens: str) -> bytes:
+    """The 64-bit hashes of the key segment U+001F tokens (one token, or a
+    bigram's two joined by U+001F) for CTX_L, MENTION and CTX_R in order,
+    as 3 · 8 little-endian bytes."""
+    tail = _KEY_SEP + _KEY_SEP.join(tokens)
+    return _feature_digests([segment.value + tail for segment in _CONTEXT_SEGMENTS]).tobytes()
+
+
+def _context_digests(tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The context-feature hashes of a token sequence, from a memo of at
+    most CONTEXT_DIGEST_MEMO_SIZE tokens and pairs, least recently used
+    first out: row i of the unigrams is token i's, row i of the bigrams
+    the pair i, i + 1's, each row one hash per segment, CTX_L, MENTION
+    and CTX_R in order."""
+    unigrams = np.frombuffer(b"".join(map(_context_key_digests, tokens)), dtype="<u8")
+    bigrams = np.frombuffer(b"".join(map(_context_key_digests, tokens, tokens[1:])), dtype="<u8")
+    return unigrams.reshape(-1, 3), bigrams.reshape(-1, 3)
+
+
+def _wiki_digests(tokens: Sequence[str]) -> np.ndarray:
+    """The 64-bit hashes of a lead's WIKI features, read-only: one per
+    token, then one per adjacent pair. So the features of the lead's
+    first m of n tokens are [:m] and [n:n + m - 1] of them."""
+    digests = _feature_digests(_run_keys(Segment.WIKI.value, tokens))
     digests.flags.writeable = False
     return digests
+
+
+# The markers' hashes: [CLS] and four [SEP], then k [SEP] [SEP] bigrams for
+# k = 0, 1, 2. The second and third [SEP] make one run when the right
+# context is empty, and the third and fourth when the kept lead is.
+_MARKER_DIGESTS = tuple(
+    _feature_digests(
+        [Segment.CLS.value + _KEY_SEP + CLS_TOKEN]
+        + [Segment.SEP.value + _KEY_SEP + SEP_TOKEN] * (MARKER_COUNT - 1)
+        + [_KEY_SEP.join((Segment.SEP.value, SEP_TOKEN, SEP_TOKEN))] * pairs
+    )
+    for pairs in range(3)
+)
+
+
+def _mention_digests(
+    unigrams: np.ndarray,
+    bigrams: np.ndarray,
+    span: tuple[int, int, int, int],
+    lead: np.ndarray,
+    kept_wiki: int,
+) -> list[np.ndarray]:
+    """The feature hashes of one mention's representation, in parts.
+
+    `unigrams` and `bigrams` are a sentence's `_context_digests`, and span
+    (lo, start, end, hi) places the kept left context at lo:start, the
+    mention at start:end and the kept right context at end:hi of it.
+    `lead` is the `_wiki_digests` of a lead of which the first `kept_wiki`
+    tokens are kept.
+    """
+    lo, start, end, hi = span
+    lead_count = (len(lead) + 1) // 2  # n unigrams, then n - 1 bigrams
+    # Only the left context's bigram slice can run from 0 to -1.
+    return [
+        _MARKER_DIGESTS[(hi == end) + (kept_wiki == 0)],
+        unigrams[lo:start, 0],
+        bigrams[lo : max(lo, start - 1), 0],
+        unigrams[start:end, 1],
+        bigrams[start : end - 1, 1],
+        unigrams[end:hi, 2],
+        bigrams[end : hi - 1, 2],
+        lead[:kept_wiki],
+        lead[lead_count : lead_count + kept_wiki - 1],
+    ]
+
+
+def _feature_rows(digests: np.ndarray, lengths: Sequence[int], feature_dim: int) -> SparseRows:
+    """One L2-normalized row of hashed counts per run of `digests`: row r
+    counts the next lengths[r] hashes (at least one), each masked to
+    `feature_dim` bits. The mention rows and the window tagger's rows are
+    both built here.
+
+    Each masked hash carries its row in the bits above `feature_dim`, so
+    one sort counts every row, in row order (`np.unique`'s counting,
+    without its overhead). The counts are small integers, so each row's
+    sum of squares is exact in any order and its norm is the one the row
+    would get alone. Raises ValueError unless len(lengths) · feature_dim
+    fits in 64 bits."""
+    n = len(lengths)
+    if n * feature_dim > 2**64:
+        raise ValueError(f"{n} rows of feature_dim {feature_dim} do not fit in 64 bits")
+    mask, shift = np.uint64(feature_dim - 1), np.uint64(feature_dim.bit_length() - 1)
+    keys = digests & mask
+    keys |= np.repeat(np.arange(n, dtype=np.uint64) << shift, lengths)
+    keys.sort()
+    edges = np.empty(len(keys) + 1, dtype=bool)  # where a run of equal keys starts or ends
+    edges[0] = edges[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+    bounds = np.flatnonzero(edges)
+    keyed = keys[bounds[:-1]]
+    indptr = np.searchsorted(keyed >> shift, np.arange(n + 1, dtype=np.uint64))
+    values = (bounds[1:] - bounds[:-1]).astype(np.float64)
+    norms = np.sqrt(np.add.reduceat(values * values, indptr[:-1]))
+    values /= np.repeat(norms, indptr[1:] - indptr[:-1])
+    return SparseRows(indptr, (keyed & mask).astype(np.int64), values)
 
 
 def featurize(rep: Representation, feature_dim: int = DEFAULT_FEATURE_DIM) -> SparseRows:
     """One row: hashed counts of (segment, token) and (segment,
     token-bigram) pairs within each run of one segment, L2-normalized.
 
-    Each feature's 64-bit hash is masked to `feature_dim` bits, the
-    masked values are counted with `np.unique` and normalized. The
-    hashes of a WIKI run (a lead, or its prefix when the budget cut it)
-    come from a memo keyed by the run's tokens and bounded at
-    WIKI_DIGEST_MEMO_SIZE runs, least recently used first out.
+    The context and mention hashes come from the `_context_digests` memo
+    and the lead's are hashed afresh; the row is `_feature_rows`' one-row
+    case. `ensemble.mention_features` builds the same rows for all of a
+    sentence's mentions at once.
     """
     _check_dim(feature_dim)
-    keys: list[str] = []  # of the runs outside WIKI
-    digests: list[np.ndarray] = []
-    tokens, segments = rep.tokens, rep.segments
-    pos, n = 0, len(tokens)
-    while pos < n:
-        segment = segments[pos]
-        run_end = pos
-        while run_end < n and segments[run_end] is segment:
-            run_end += 1
-        if segment is Segment.WIKI:
-            digests.append(_wiki_digests(tokens[pos:run_end]))
-        else:
-            keys += _run_keys(segment.value, tokens[pos:run_end])
-        pos = run_end
-    digests.append(_feature_digests(keys))
-    indices, counts = np.unique(
-        np.concatenate(digests) & np.uint64(feature_dim - 1), return_counts=True
-    )
-    values = _normalized(counts.astype(np.float64))
-    return SparseRows(np.array((0, len(values))), indices.astype(np.int64), values)
+    sentence = rep.ctx_l + rep.mention + rep.ctx_r
+    start = len(rep.ctx_l)
+    end = start + len(rep.mention)
+    unigrams, bigrams = _context_digests(sentence)
+    span = (0, start, end, len(sentence))
+    wiki = _wiki_digests(rep.wiki)
+    digests = np.concatenate(_mention_digests(unigrams, bigrams, span, wiki, len(rep.wiki)))
+    return _feature_rows(digests, [len(digests)], feature_dim)
 
 
 def _check_dim(feature_dim: int) -> None:

@@ -8,9 +8,19 @@ features of a ±3 token window; it is stored like the mention classifier,
 under its own header kind. `window_features` turns a sentence into one
 `SparseRows` (CSR) of its windows' features, with the hash of
 `classifier`: each token's seven keys are hashed once into a bounded
-memo, the sentence's keys are counted by one `np.unique`, and the rows
-are normalized together. `tag_baseline` scores all rows with one
-`_rows_logits` call, and `train_baseline` stacks all sentences' rows.
+memo, and `classifier._feature_rows` builds the rows together.
+`tag_baseline` scores all rows with one `_rows_logits` call, and
+`train_baseline` stacks all sentences' rows.
+
+The linking path also works a sentence at a time. `mention_features`
+builds the rows of all of a sentence's linked mentions at once, each
+with the bytes `featurize` gives its representation: the sentence's
+context hashes are taken once, and a lead's WIKI hashes come from a
+memo of the index keyed by document (`_lead_digests`), so a lead is
+decoded and tokenized once while it stays in the memo, not once per
+mention. `tag_el` scores the rows with one `forward` and applies the
+gate rule per row. Training builds a `Representation` per candidate and
+featurizes it alone, which is the same row builder's one-row case.
 """
 
 from __future__ import annotations
@@ -36,16 +46,27 @@ from .classifier import (
     TrainingConfig,
     _KEY_SEP,
     _check_dim,
+    _context_digests,
     _feature_digests,
+    _feature_rows,
     _fit,
+    _mention_digests,
     _rows_logits,
+    _wiki_digests,
+    decide,
+    forward,
     load_window_tagger,
-    predict,
     save_window_tagger,
 )
-from .index import CorpusIndex
+from .index import LEAD_MEMO_SIZE, CorpusIndex
 from .mentions import Mention, link_sentence
-from .representation import DEFAULT_MAX_LEN, MARKER_COUNT, Representation, build_representation
+from .representation import (
+    DEFAULT_MAX_LEN,
+    MARKER_COUNT,
+    Representation,
+    build_representation,
+    fit_budget,
+)
 from .retrieval import DEFAULT_K
 # Not called here: perfbench/tracing.py patches these two names in this module.
 from .storage import dump_json, write_container  # noqa: F401
@@ -96,30 +117,18 @@ def window_features(tokens: Sequence[str], feature_dim: int) -> SparseRows:
     around position i, edge-padded, L2-normalized.
 
     A token's seven hashes come from `_window_digests`, a memo of at most
-    WINDOW_DIGEST_MEMO_SIZE tokens, least recently used first out. Each
-    masked hash carries its position in the bits above `feature_dim`, so
-    one `np.unique` counts the whole sentence in row order. The counts
-    are small integers, so every row's sum of squares is exact and its
-    norm is the one `_normalized` takes. Raises ValueError unless
-    len(tokens) · feature_dim fits in 64 bits."""
+    WINDOW_DIGEST_MEMO_SIZE tokens, least recently used first out; the
+    rows are built by `classifier._feature_rows`. Raises ValueError
+    unless len(tokens) · feature_dim fits in 64 bits."""
     _check_dim(feature_dim)
     n = len(tokens)
-    if n * feature_dim > 2**64:
-        raise ValueError(f"{n} positions of feature_dim {feature_dim} do not fit in 64 bits")
     padded = [_EDGE_TOKEN] * WINDOW_RADIUS + list(tokens) + [_EDGE_TOKEN] * WINDOW_RADIUS
     width = 2 * WINDOW_RADIUS + 1
     digests = np.frombuffer(b"".join(map(_window_digests, padded)), dtype="<u8")
     # keys[i, j], position i's key at offset index j, is the j-th hash of
     # padded token i + j: digests[(i + j) · width + j].
     keys = digests[np.add.outer(width * np.arange(n), (width + 1) * np.arange(width))]
-    mask, shift = np.uint64(feature_dim - 1), np.uint64(feature_dim.bit_length() - 1)
-    positions = np.arange(n, dtype=np.uint64)[:, None]
-    keyed, counts = np.unique((positions << shift) | (keys & mask), return_counts=True)
-    indptr = np.searchsorted(keyed >> shift, np.arange(n + 1, dtype=np.uint64))
-    values = counts.astype(np.float64)
-    norms = np.sqrt(np.add.reduceat(values * values, indptr[:-1]))
-    values /= np.repeat(norms, np.diff(indptr))
-    return SparseRows(indptr, (keyed & mask).astype(np.int64), values)
+    return _feature_rows(keys.ravel(), np.full(n, width), feature_dim)
 
 
 def train_baseline(
@@ -147,6 +156,14 @@ def train_baseline(
     return model
 
 
+def _linked_mentions(
+    normalized: Sequence[str], index: CorpusIndex, k: int, max_len: int
+) -> list[Mention]:
+    """The mentions linked in a normalized sentence, less those too long
+    to represent within the budget."""
+    return [m for m in link_sentence(normalized, index, k) if m.length + MARKER_COUNT <= max_len]
+
+
 def mention_candidates(
     normalized: Sequence[str],
     index: CorpusIndex,
@@ -157,11 +174,10 @@ def mention_candidates(
     """Each linked mention of a normalized sentence with its classifier
     input, skipping mentions too long to represent within the budget.
 
-    Training and tagging both draw their candidates from here.
+    Training draws its candidates from here, and tagging the same
+    mentions through `_linked_mentions`.
     """
-    for mention in link_sentence(normalized, index, k):
-        if mention.length + MARKER_COUNT > max_len:
-            continue  # cannot be represented within the budget
+    for mention in _linked_mentions(normalized, index, k, max_len):
         yield mention, build_representation(
             normalized,
             mention,
@@ -169,6 +185,62 @@ def mention_candidates(
             max_len,
             turkish=index.turkish,
         )
+
+
+def _lead_digests(index: CorpusIndex, doc_id: int) -> tuple[int, np.ndarray]:
+    """The token count of a document's lead and its `_wiki_digests`, from
+    the index's `lead_memo`: at most LEAD_MEMO_SIZE documents, least
+    recently used first out. Only a miss decodes and tokenizes the lead."""
+    memo = index.lead_memo
+    entry = memo.pop(doc_id, None)
+    if entry is None:
+        tokens = index.lead_tokens(doc_id)
+        entry = (len(tokens), _wiki_digests(tokens))
+    memo[doc_id] = entry  # the most recently used entry is last
+    if len(memo) > LEAD_MEMO_SIZE:
+        memo.popitem(last=False)
+    return entry
+
+
+def mention_features(
+    normalized: Sequence[str],
+    mentions: Sequence[Mention],
+    index: CorpusIndex,
+    max_len: int,
+    feature_dim: int,
+) -> SparseRows:
+    """One row per mention of a normalized sentence, each with the bytes
+    of `featurize` of the mention's `build_representation`.
+
+    The sentence's context hashes are taken once for all its mentions,
+    each lead's come from `_lead_digests`, and the budget cut of
+    `fit_budget` picks each row's slices of them; `_feature_rows` builds
+    all rows at once. `mentions` must not be empty.
+    """
+    _check_dim(feature_dim)
+    unigrams, bigrams = _context_digests(normalized)
+    parts: list[np.ndarray] = []
+    lengths = []
+    for mention in mentions:
+        start, end = mention.start, mention.end
+        lead_count, lead = _lead_digests(index, mention.doc_id)
+        kept_l, kept_r, kept_wiki = fit_budget(
+            start, end - start, len(normalized) - end, lead_count, max_len
+        )
+        row = _mention_digests(
+            unigrams, bigrams, (start - kept_l, start, end, end + kept_r), lead, kept_wiki
+        )
+        parts += row
+        lengths.append(sum(map(len, row)))
+    return _feature_rows(np.concatenate(parts), lengths, feature_dim)
+
+
+def predict(model: MentionClassifier, rows: SparseRows) -> list[EntityType | None]:
+    """The class of each mention row, None for "not an entity": one
+    `forward` for all rows, then the gate rule of `decide` per row.
+    `classifier.predict` is the same for one representation."""
+    p_bin, p_type = forward(model, rows)
+    return [decide(None if p_bin is None else p_bin[i], p_type[i]) for i in range(len(rows))]
 
 
 def build_training_examples(
@@ -231,15 +303,21 @@ def tag_el(
     k: int = DEFAULT_K,
     max_len: int = DEFAULT_MAX_LEN,
 ) -> TaggedSentence:
-    """Link the sentence, classify each surviving mention, emit BIO tags.
+    """Link the sentence, classify its surviving mentions together, emit
+    BIO tags.
 
-    Mentions the classifier rejects (the gate says non-entity) leave
-    their tokens O, as do tokens no mention covers.
+    All mention rows are scored by one `predict` (one `forward`); a
+    sentence with no mention is never scored. Mentions the classifier
+    rejects (the gate says non-entity) leave their tokens O, as do
+    tokens no mention covers.
     """
     normalized = [normalize_token(t, turkish=index.turkish) for t in tokens]
     tags = ["O"] * len(tokens)
-    for mention, rep in mention_candidates(normalized, index, k=k, max_len=max_len):
-        etype = predict(model, rep)
+    mentions = _linked_mentions(normalized, index, k, max_len)
+    if not mentions:
+        return TaggedSentence(sentence_id, tuple(tokens), tuple(tags))
+    rows = mention_features(normalized, mentions, index, max_len, model.feature_dim)
+    for mention, etype in zip(mentions, predict(model, rows)):
         if etype is None:
             continue
         tags[mention.start] = f"B-{etype.value}"

@@ -40,16 +40,18 @@ bytes. Impacts, `avg_doc_length` and `doc_count` are not stored: load
 derives them from the columns as build does, in place. The build-only
 text (all_text, interwikies) is not stored either; the corpus file keeps
 it. A loaded index's columns are read-only views of the one buffer its
-file was read into, and its leads are decoded from that buffer without
-a copy of the section.
+file was read into, and so is its lead section: load checks that every
+lead is UTF-8 without keeping a decoded copy, and a lead is decoded only
+when it is read (`Leads`). What tagging derives from a lead is kept per
+document in the index's own bounded `lead_memo`.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, OrderedDict
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -401,22 +403,121 @@ class AnchorTable:
         return hits
 
 
+@dataclass(frozen=True, eq=False)
+class Leads(Sequence[str]):
+    """Each document's lead, by position, kept as one UTF-8 section: lead
+    i is bytes offsets[i]:offsets[i + 1] of it, decoded when read. Two
+    Leads are equal when their offsets and sections are."""
+
+    offsets: np.ndarray  # int64, one more than there are documents
+    section: np.ndarray  # uint8
+
+    @classmethod
+    def from_strings(cls, leads: Iterable[str]) -> "Leads":
+        encoded = [lead.encode("utf-8") for lead in leads]
+        return cls(
+            np.cumsum([0] + [len(lead) for lead in encoded], dtype=np.int64),
+            np.frombuffer(b"".join(encoded), dtype=np.uint8),
+        )
+
+    @classmethod
+    def from_section(
+        cls, offsets: np.ndarray, section: np.ndarray, doc_count: int, path: str | Path
+    ) -> "Leads":
+        """The leads of a loaded index, every one checked, none decoded
+        into a string that outlives the check.
+
+        Raises DataFormatError unless the offsets run from 0 to the
+        section's end without decreasing over `doc_count` leads and every
+        lead is UTF-8. The section is decoded in chunks of about
+        _LEAD_CHECK_CHUNK bytes cut at lead boundaries, and no lead may
+        start on a continuation byte: then no chunk splits a character,
+        and every lead of a valid chunk is valid. When either check fails,
+        the leads are decoded one by one to name the first bad one.
+        """
+        if (
+            len(offsets) != doc_count + 1
+            or offsets[0] != 0
+            or offsets[-1] != len(section)
+            or (np.diff(offsets) < 0).any()
+        ):
+            raise DataFormatError(
+                f"{path}: lead_offsets must run from 0 to {len(section)} over {doc_count} leads"
+            )
+        text = memoryview(section)  # no bytes copy of the section
+        starts = offsets[:-1][offsets[:-1] < len(section)]
+        marks = np.arange(0, len(section), _LEAD_CHECK_CHUNK)
+        cuts = np.unique(offsets[np.searchsorted(offsets, marks)])  # the next lead boundary
+        chunks = zip(cuts.tolist(), [*cuts[1:].tolist(), len(section)])
+        if ((section[starts] & 0xC0) == 0x80).any() or not all(
+            _is_utf8(text[start:end]) for start, end in chunks
+        ):
+            bounds = offsets.tolist()
+            for position, (start, end) in enumerate(zip(bounds, bounds[1:])):
+                try:
+                    str(text[start:end], "utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataFormatError(
+                        f"{path}: lead {position} is not valid UTF-8: {exc}"
+                    ) from None
+        return cls(offsets, section)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, position: int) -> str:  # type: ignore[override]
+        position = range(len(self))[position]  # IndexError out of range
+        start, end = self.offsets[position : position + 2].tolist()
+        return str(memoryview(self.section)[start:end], "utf-8")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Leads):
+            return NotImplemented
+        return np.array_equal(self.offsets, other.offsets) and np.array_equal(
+            self.section, other.section
+        )
+
+
+# Bytes of the lead section that load decodes at once to check it.
+_LEAD_CHECK_CHUNK = 2**20
+
+
+def _is_utf8(data: memoryview) -> bool:
+    try:
+        str(data, "utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+# Documents whose lead-derived features an index keeps in its `lead_memo`.
+LEAD_MEMO_SIZE = 2048
+
+
 @dataclass
 class CorpusIndex:
     """Self-contained search bundle: per document its title and lead (by
-    position), the four field indexes, and the anchor table."""
+    position), the four field indexes, and the anchor table.
+
+    `lead_memo` holds what tagging derives from a lead, by doc_id, for at
+    most LEAD_MEMO_SIZE documents (see `ensemble._lead_digests`). It lives
+    on the index because a doc_id names a lead only within one index.
+    """
 
     titles: list[str]
-    leads: list[str]
+    leads: Leads
     fields: dict[str, FieldIndex]
     anchors: AnchorTable
     turkish: bool = False
+    lead_memo: OrderedDict = field(
+        default_factory=OrderedDict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(cls, documents: Sequence[IndexedDocument], *, turkish: bool = False) -> "CorpusIndex":
         return cls(
             titles=[doc.title for doc in documents],
-            leads=[doc.lead for doc in documents],
+            leads=Leads.from_strings(doc.lead for doc in documents),
             fields=build_index(documents, turkish=turkish),
             anchors=AnchorTable.from_phrases(doc.referred_by for doc in documents),
             turkish=turkish,
@@ -426,6 +527,10 @@ class CorpusIndex:
         """Every document's score in one field for an OR query."""
         return field_scores(self.fields[field_name], query_terms)
 
+    def lead_tokens(self, doc_id: int) -> list[str]:
+        """A document's lead, decoded and tokenized."""
+        return tokenize(self.leads[doc_id], turkish=self.turkish)
+
     def save(self, path: str | Path) -> None:
         terms, columns = {}, []
         for name in FIELD_NAMES:
@@ -433,9 +538,8 @@ class CorpusIndex:
             terms[name] = list(index.term_rows)
             values = (index.offsets, index.doc_ids, index.tfs, index.doc_lengths)
             columns += [(f"{name}.{c}", dtype, v) for (c, dtype), v in zip(_COLUMNS, values)]
-        leads = [lead.encode("utf-8") for lead in self.leads]
-        columns.append(("lead_offsets", "<i8", np.cumsum([0] + [len(lead) for lead in leads])))
-        columns.append(("leads", "u1", np.frombuffer(b"".join(leads), dtype=np.uint8)))
+        columns.append(("lead_offsets", "<i8", self.leads.offsets))
+        columns.append(("leads", "u1", self.leads.section))
         header = {
             "turkish": self.turkish,
             "terms": terms,
@@ -471,7 +575,7 @@ class CorpusIndex:
                 raise DataFormatError(f"{path}: {exc}") from None
         return cls(
             titles=titles,
-            leads=_decode_leads(arrays["lead_offsets"], arrays["leads"], len(titles), path),
+            leads=Leads.from_section(arrays["lead_offsets"], arrays["leads"], len(titles), path),
             fields=fields,
             anchors=AnchorTable.from_phrases(header["referred_by"]),
             turkish=header["turkish"],
@@ -519,30 +623,6 @@ def _check_header(header: object, path: str | Path) -> None:
             raise DataFormatError(f"{path}: index lacks the {name!r} array")
     if [entry[:2] for entry in layout] != expected:
         raise DataFormatError(f"{path}: array layout {layout!r} is not format 2's {expected!r}")
-
-
-def _decode_leads(
-    offsets: np.ndarray, section: np.ndarray, doc_count: int, path: str | Path
-) -> list[str]:
-    """Each document's lead: bytes offsets[i]:offsets[i + 1] of the UTF-8 section."""
-    if (
-        len(offsets) != doc_count + 1
-        or offsets[0] != 0
-        or offsets[-1] != len(section)
-        or (np.diff(offsets) < 0).any()
-    ):
-        raise DataFormatError(
-            f"{path}: lead_offsets must run from 0 to {len(section)} over {doc_count} leads"
-        )
-    text = memoryview(section)  # decoded in place: a bytes copy would outlive the load
-    bounds = offsets.tolist()
-    leads = []
-    for position, (start, end) in enumerate(zip(bounds, bounds[1:])):
-        try:
-            leads.append(str(text[start:end], "utf-8"))
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: lead {position} is not valid UTF-8: {exc}") from None
-    return leads
 
 
 def save_corpus(documents: Sequence[IndexedDocument], path: str | Path, *, turkish: bool = False) -> None:

@@ -24,6 +24,15 @@ and `oracle_window_features` one position's window; `featurize` and
 `ensemble.window_features` must return exactly the same indices and
 value bytes.
 
+Mention classification: `oracle_build_representation` is the per-token
+builder that laid out every token of a representation with its segment
+(`layout` gives a `Representation`'s), and `oracle_tag_el` the
+per-mention path that classifying a sentence's mentions together
+replaced: per mention a freshly tokenized lead, `oracle_featurize` over
+its layout (`oracle_mention_rows`), then one dense `oracle_forward` and
+`decide`. `ensemble.mention_features` must give every mention's row
+exactly the same bytes, and `tag_el` the same tags.
+
 Window tagging: `oracle_tag_baseline` scores one token at a time, the
 loop that scoring a sentence's rows at once replaced: each position's
 `oracle_window_features` through `oracle_head_logits` and `decide`.
@@ -91,12 +100,21 @@ from linkrush.index import (
     AnchorTable,
     CorpusIndex,
     FieldIndex,
+    Leads,
     _doc_to_json,
     _docs_from_json,
     field_scores,
 )
-from linkrush.mentions import Mention, resolve_overlaps
-from linkrush.representation import Representation, Segment
+from linkrush.mentions import Mention, link_sentence, resolve_overlaps
+from linkrush.representation import (
+    CLS_TOKEN,
+    DEFAULT_MAX_LEN,
+    MARKER_COUNT,
+    SEP_TOKEN,
+    Representation,
+    Segment,
+)
+from linkrush.retrieval import DEFAULT_K
 from linkrush.storage import (
     MAGIC_INDEX,
     dump_json,
@@ -262,19 +280,71 @@ def oracle_tag_baseline(
     return TaggedSentence(sentence_id, tuple(tokens), tuple(bio_repair(raw)))
 
 
-def oracle_featurize(rep: Representation, feature_dim: int) -> SparseRows:
+# A representation as the per-token builder laid it out: every token of
+# the delimited sequence with its segment.
+Layout = tuple[tuple[str, ...], tuple[Segment, ...]]
+
+
+def oracle_build_representation(
+    sentence_tokens: Sequence[str],
+    mention: Mention,
+    lead: str,
+    max_len: int = DEFAULT_MAX_LEN,
+    *,
+    turkish: bool = False,
+) -> Layout:
+    """The per-token builder that representations as runs replaced: cut
+    the lead, then the right context, then the left context from its
+    front, and lay out every token with its segment."""
+    mention_tokens = list(sentence_tokens[mention.start : mention.end])
+    ctx_l = list(sentence_tokens[: mention.start])
+    ctx_r = list(sentence_tokens[mention.end :])
+    wiki = tokenize(lead, turkish=turkish)
+    over = MARKER_COUNT + len(ctx_l) + len(mention_tokens) + len(ctx_r) + len(wiki) - max_len
+    if over > 0:
+        cut = min(over, len(wiki))
+        wiki = wiki[: len(wiki) - cut]
+        over -= cut
+    if over > 0:
+        cut = min(over, len(ctx_r))
+        ctx_r = ctx_r[: len(ctx_r) - cut]
+        over -= cut
+    if over > 0:
+        ctx_l = ctx_l[over:]
+    return _lay_out(ctx_l, mention_tokens, ctx_r, wiki)
+
+
+def _lay_out(*runs: Sequence[str]) -> Layout:
+    tokens: list[str] = [CLS_TOKEN]
+    segments: list[Segment] = [Segment.CLS]
+    for part, segment in zip(runs, (Segment.CTX_L, Segment.MENTION, Segment.CTX_R, Segment.WIKI)):
+        tokens.extend(part)
+        segments.extend([segment] * len(part))
+        tokens.append(SEP_TOKEN)
+        segments.append(Segment.SEP)
+    return tuple(tokens), tuple(segments)
+
+
+def layout(rep: Representation) -> Layout:
+    """A representation's delimited tokens, each with its segment."""
+    return _lay_out(rep.ctx_l, rep.mention, rep.ctx_r, rep.wiki)
+
+
+def oracle_featurize(rep: Representation | Layout, feature_dim: int) -> SparseRows:
     """Hashed counts of (segment, token) and (segment, token-bigram) pairs
-    within each run of one segment, one `hash_feature` call per feature."""
+    within each run of one segment of the layout, found token by token,
+    one `hash_feature` call per feature."""
     _check_dim(feature_dim)
+    tokens, segments = layout(rep) if isinstance(rep, Representation) else rep
     counts: dict[int, float] = {}
     pos = 0
-    n = len(rep.tokens)
+    n = len(tokens)
     while pos < n:
-        segment = rep.segments[pos]
+        segment = segments[pos]
         run_end = pos
-        while run_end < n and rep.segments[run_end] is segment:
+        while run_end < n and segments[run_end] is segment:
             run_end += 1
-        run = rep.tokens[pos:run_end]
+        run = tokens[pos:run_end]
         for token in run:
             idx = hash_feature((segment.value, token), feature_dim)
             counts[idx] = counts.get(idx, 0.0) + 1.0
@@ -285,8 +355,59 @@ def oracle_featurize(rep: Representation, feature_dim: int) -> SparseRows:
     return sparse_from_counts(counts)
 
 
+def oracle_mention_rows(
+    normalized: Sequence[str],
+    index: CorpusIndex,
+    feature_dim: int,
+    *,
+    k: int = DEFAULT_K,
+    max_len: int = DEFAULT_MAX_LEN,
+) -> list[tuple[Mention, SparseRows]]:
+    """The per-mention path that building a sentence's rows at once
+    replaced: each linked mention that fits the budget, its layout built
+    from its freshly tokenized lead, and its row from `oracle_featurize`."""
+    return [
+        (
+            mention,
+            oracle_featurize(
+                oracle_build_representation(
+                    normalized, mention, index.leads[mention.doc_id], max_len, turkish=index.turkish
+                ),
+                feature_dim,
+            ),
+        )
+        for mention in link_sentence(normalized, index, k)
+        if mention.length + MARKER_COUNT <= max_len
+    ]
+
+
+def oracle_tag_el(
+    tokens: Sequence[str],
+    sentence_id: str,
+    index: CorpusIndex,
+    model: MentionClassifier,
+    *,
+    k: int = DEFAULT_K,
+    max_len: int = DEFAULT_MAX_LEN,
+) -> TaggedSentence:
+    """One `oracle_mention_rows` row, one dense `oracle_forward` and one
+    `decide` per mention; a vetoed mention leaves its tokens O."""
+    dense = dense_model(model)
+    normalized = [normalize_token(t, turkish=index.turkish) for t in tokens]
+    tags = ["O"] * len(tokens)
+    rows = oracle_mention_rows(normalized, index, model.feature_dim, k=k, max_len=max_len)
+    for mention, row in rows:
+        p_bin, p_type = oracle_forward(dense, row)
+        etype = decide(p_bin, p_type)
+        if etype is not None:
+            tags[mention.start : mention.end] = [f"B-{etype.value}"] + [
+                f"I-{etype.value}"
+            ] * (mention.length - 1)
+    return TaggedSentence(sentence_id, tuple(tokens), tuple(tags))
+
+
 def segment_of(rep: Representation, position: int) -> Segment:
-    return rep.segments[position]
+    return layout(rep)[1][position]
 
 
 def render_representation(rep: Representation) -> str:
@@ -597,7 +718,7 @@ def load_index_v1(path: str | Path) -> CorpusIndex:
         assert fields[name].doc_count == raw["doc_count"] == len(documents)
     return CorpusIndex(
         titles=[d.title for d in documents],
-        leads=[d.lead for d in documents],
+        leads=Leads.from_strings(d.lead for d in documents),
         fields=fields,
         anchors=AnchorTable.from_phrases(d.referred_by for d in documents),
         turkish=payload["turkish"],

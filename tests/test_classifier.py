@@ -11,7 +11,9 @@ from oracles import (
     batch_loss,
     dense_model,
     hash_feature,
+    layout,
     one_row,
+    oracle_build_representation,
     oracle_featurize,
     oracle_fit,
     oracle_forward,
@@ -30,8 +32,9 @@ from linkrush.classifier import (
     SparseRows,
     TrainExample,
     TrainingConfig,
-    WIKI_DIGEST_MEMO_SIZE,
+    CONTEXT_DIGEST_MEMO_SIZE,
     _KEY_SEP,
+    _context_key_digests,
     _feature_digests,
     _fit,
     _rows_logits,
@@ -49,7 +52,7 @@ from linkrush.classifier import (
 )
 from linkrush.errors import DataFormatError
 from linkrush.mentions import Mention
-from linkrush.representation import Representation, Segment, build_representation
+from linkrush.representation import Segment, build_representation
 from linkrush.tokenizer import normalize_token
 
 DIM = 2**6  # small space keeps gradient loops cheap; collisions are fine
@@ -162,9 +165,9 @@ def assert_same_vector(got, want):
 
 
 class TestFeaturizeMatchesOracle:
-    """`featurize` (memoised WIKI digests, one `np.unique`) against the
-    per-feature `hash_feature` loop of `oracles.oracle_featurize`: the same
-    index and value bytes."""
+    """`featurize` (memoised context digests, one row of `_feature_rows`)
+    against the per-feature `hash_feature` loop of `oracles.oracle_featurize`
+    over the per-token layout: the same index and value bytes."""
 
     def test_random_reps_and_dims(self):
         rng = np.random.default_rng(12)
@@ -174,30 +177,46 @@ class TestFeaturizeMatchesOracle:
                 assert_same_vector(featurize(rep, dim), oracle_featurize(rep, dim))
 
     def test_edge_cases(self):
+        """Each run empty or cut by the budget, alone and together: two
+        adjacent [SEP]s make one SEP run with a [SEP] [SEP] bigram."""
         lead = "an old stone mill by the river , with a gate"
-        truncated = make_rep(["the", "mill", "stands"], 1, 2, lead, max_len=12)
-        assert 0 < truncated.segments.count(Segment.WIKI) < 11
-        empty_lead = make_rep(["the", "mill"], 1, 2, "")
-        no_wiki = Representation(
-            ("[CLS]", "the", "[SEP]", "mill", "[SEP]"),
-            (Segment.CLS, Segment.CTX_L, Segment.SEP, Segment.MENTION, Segment.SEP),
-        )
-        nothing = Representation((), ())
-        for rep in (truncated, make_rep(["the", "mill"], 1, 2, lead), empty_lead, no_wiki, nothing):
+        sentence = ["the", "mill", "stands", "here"]
+        cases = [
+            (sentence, 1, 2, lead, 64),  # nothing cut
+            (sentence, 0, 1, lead, 64),  # no left context
+            (sentence, 3, 4, lead, 64),  # no right context
+            (sentence, 1, 2, "", 64),  # empty lead
+            (sentence, 3, 4, "", 64),  # no right context, empty lead
+            (["mill"], 0, 1, "", 64),  # the mention alone
+            (sentence, 1, 2, lead, 12),  # lead cut
+            (sentence, 1, 2, lead, 9),  # lead cut to nothing
+            (sentence, 1, 2, lead, 8),  # lead gone, right context cut
+            (sentence, 1, 2, lead, 7),  # right context gone, left kept
+            (sentence, 2, 3, lead, 7),  # left context cut from its front
+            (sentence, 1, 3, lead, 7),  # the mention at max_len - 5
+        ]
+        wiki_cut = 0
+        for sentence_tokens, start, end, lead_text, max_len in cases:
+            rep = make_rep(sentence_tokens, start, end, lead_text, max_len)
+            mention = Mention(start, end, tuple(sentence_tokens[start:end]), 0, 1.0)
+            old = oracle_build_representation(sentence_tokens, mention, lead_text, max_len)
+            assert layout(rep) == old
+            wiki_cut += 0 < len(rep.wiki) < 11
             for dim in (2**3, 2**18):
-                assert_same_vector(featurize(rep, dim), oracle_featurize(rep, dim))
-        assert Segment.WIKI not in empty_lead.segments
+                assert_same_vector(featurize(rep, dim), oracle_featurize(old, dim))
+        assert wiki_cut == 1
 
     def test_memo_is_bounded_and_read_only(self):
-        _wiki_digests.cache_clear()
-        assert _wiki_digests.cache_info().maxsize == WIKI_DIGEST_MEMO_SIZE
+        _context_key_digests.cache_clear()
+        assert _context_key_digests.cache_info().maxsize == CONTEXT_DIGEST_MEMO_SIZE
         first = make_rep(["a", "b"], 0, 1, "lead 0 words")
         want = oracle_featurize(first, DIM)
-        for i in range(WIKI_DIGEST_MEMO_SIZE + 50):
-            featurize(make_rep(["a", "b"], 0, 1, f"lead {i} words"), DIM)
-            assert _wiki_digests.cache_info().currsize <= WIKI_DIGEST_MEMO_SIZE
-        assert _wiki_digests.cache_info().currsize == WIKI_DIGEST_MEMO_SIZE
-        # The first lead was evicted; hashing it again gives the same vector.
+        # Each sentence brings two new keys: its first token and its pair.
+        for i in range(CONTEXT_DIGEST_MEMO_SIZE // 2 + 50):
+            featurize(make_rep([f"t{i}", "b"], 0, 1, ""), DIM)
+            assert _context_key_digests.cache_info().currsize <= CONTEXT_DIGEST_MEMO_SIZE
+        assert _context_key_digests.cache_info().currsize == CONTEXT_DIGEST_MEMO_SIZE
+        # The first sentence's keys were evicted; hashing them again gives the same vector.
         assert_same_vector(featurize(first, DIM), want)
         digests = _wiki_digests(("lead", "0", "words"))
         assert not digests.flags.writeable

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import save_index_v1, write_index_raw
+from oracles import index_arrays, save_index_v1, write_index_arrays, write_index_raw
 
 from linkrush import __version__
 from linkrush.cli import main
@@ -385,6 +385,24 @@ class TestLinkOutputPinned:
         )
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+
+class TestLeadValidation:
+    def test_lead_split_inside_a_character_exits_two(self, pipeline, tmp_path, capsys):
+        """A lead boundary moved into a two-byte character exits 2 on load,
+        though the sentence links to neither lead."""
+        header, arrays = index_arrays(pipeline["index"])
+        offsets, section = arrays["lead_offsets"], arrays["leads"]
+        i = next(i for i in range(1, len(offsets) - 1) if offsets[i - 1] < offsets[i] < offsets[i + 1] - 1)
+        section[offsets[i] : offsets[i] + 2] = list("é".encode("utf-8"))
+        offsets[i] += 1
+        path, sentences = tmp_path / "index.bin", tmp_path / "sentences.txt"
+        write_index_arrays(path, header, arrays)
+        sentences.write_text("zzz qqq\n", encoding="utf-8")
+        code, out, err = run(capsys, "link", "--index", str(path), "--input", str(sentences))
+        assert (code, out) == (2, "")
+        assert f"lead {i - 1} is not valid UTF-8" in err
+        assert "Traceback" not in err
 
 
 class TestDocumentRecordValidation:

@@ -4,28 +4,38 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import dataclasses
+
 from oracles import (
     dense_model,
     oracle_head_logits,
+    oracle_mention_rows,
     oracle_tag_baseline,
+    oracle_tag_el,
     oracle_window_features,
     split_rows,
 )
 
 from linkrush import ensemble
 from linkrush.classifier import (
+    GATE_O,
+    TYPE_INDEX,
     WINDOW_DIGEST_MEMO_SIZE,
+    EntityType,
     GateDecision,
     MentionClassifier,
     SparseRows,
     TrainingConfig,
     _rows_logits,
+    forward,
 )
 from linkrush.ensemble import (
     Route,
     RouterConfig,
     build_training_examples,
     load_window_tagger,
+    mention_features,
+    predict,
     route,
     save_window_tagger,
     tag,
@@ -37,6 +47,8 @@ from linkrush.ensemble import (
 )
 from linkrush.errors import DataFormatError
 from linkrush.evaluation import TaggedSentence, bio_repair, span_extract
+from linkrush.index import CorpusIndex
+from linkrush.representation import MARKER_COUNT, fit_budget
 from linkrush.tokenizer import normalize_token
 
 DIM = 2**10
@@ -491,3 +503,153 @@ class TestTagDispatch:
         for out, src in zip(tagged, subset):
             assert out.tokens == src.tokens
             assert len(out.tags) == len(src.tokens)
+
+
+def _normalized(sentence):
+    return [normalize_token(t) for t in sentence.tokens]
+
+
+def _assert_rows_equal(rows, oracle):
+    """`rows` holds, row for row, the index and value bytes of the oracle's."""
+    assert len(rows) == len(oracle)
+    for got, (_, want) in zip(split_rows(rows), oracle):
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+def _sentence_rows(normalized, index, dim, max_len=256):
+    """A sentence's batched mention rows and the oracle's per-mention ones."""
+    oracle = oracle_mention_rows(normalized, index, dim, max_len=max_len)
+    mentions = [mention for mention, _ in oracle]
+    rows = mention_features(normalized, mentions, index, max_len, dim) if mentions else None
+    return rows, oracle
+
+
+class TestMentionFeatures:
+    """`mention_features` builds all of a sentence's mention rows at once
+    with each row's bytes from the per-mention oracle path: the per-token
+    layout of a freshly tokenized lead, hashed feature by feature."""
+
+    def test_every_run_empty_or_cut(self, fixture_documents, gold_sentences):
+        """Leads empty, short and long, and budgets from the mention plus
+        its markers upward: every run is empty or cut somewhere, and two
+        adjacent [SEP]s make one SEP run."""
+        documents = [
+            dataclasses.replace(doc, lead=("", doc.lead, "one word")[i % 3])
+            for i, doc in enumerate(fixture_documents)
+        ]
+        index = CorpusIndex.build(documents)
+        seen = dict.fromkeys(
+            ("no ctx_l", "no ctx_r", "empty lead", "lead cut", "lead cut away",
+             "ctx_r cut", "ctx_l cut", "mention at max_len - 5"),
+            0,
+        )
+        for sentence in gold_sentences:
+            normalized = _normalized(sentence)
+            for max_len in (6, 7, 8, 9, 10, 12, 16, 24, 40, 256):
+                for dim in (2**6, 2**18):
+                    rows, oracle = _sentence_rows(normalized, index, dim, max_len)
+                    if rows is not None:
+                        _assert_rows_equal(rows, oracle)
+                for mention, _ in oracle:
+                    n, start, end = len(normalized), mention.start, mention.end
+                    lead = len(index.lead_tokens(mention.doc_id))
+                    kept_l, kept_r, kept_wiki = fit_budget(start, end - start, n - end, lead, max_len)
+                    seen["no ctx_l"] += start == 0
+                    seen["no ctx_r"] += end == n
+                    seen["empty lead"] += lead == 0
+                    seen["lead cut"] += 0 < kept_wiki < lead
+                    seen["lead cut away"] += 0 == kept_wiki < lead
+                    seen["ctx_r cut"] += kept_r < n - end
+                    seen["ctx_l cut"] += kept_l < start
+                    seen["mention at max_len - 5"] += end - start + MARKER_COUNT == max_len
+        assert all(seen.values()), seen
+
+    def test_short_stream_rows_of_the_fixture(self, fixture_index, gold_sentences):
+        rows_seen = 0
+        for sentence in gold_sentences:
+            rows, oracle = _sentence_rows(_normalized(sentence), fixture_index, 2**18)
+            if rows is not None:
+                _assert_rows_equal(rows, oracle)
+                rows_seen += len(rows)
+        assert rows_seen > 30
+
+
+def _other_leads_index(fixture_documents):
+    """The fixture index with every lead's words in reverse order, so the
+    same doc_id names another lead."""
+    documents = [
+        dataclasses.replace(doc, lead=" ".join(reversed(doc.lead.split())))
+        for doc in fixture_documents
+    ]
+    return CorpusIndex.build(documents)
+
+
+class TestLeadMemo:
+    """The lead memo lives on each index: two indexes whose leads differ
+    at the same doc_id, tagged alternately in one process, each give the
+    oracle's rows and tags, and so does a memo of one document."""
+
+    def _tag_alternately(self, indexes, model, gold_sentences):
+        outputs = []
+        for sentence in gold_sentences:
+            normalized = _normalized(sentence)
+            for index in indexes:
+                rows, oracle = _sentence_rows(normalized, index, model.feature_dim)
+                if rows is not None:
+                    _assert_rows_equal(rows, oracle)
+                tagged = tag_el(sentence.tokens, sentence.sentence_id, index, model)
+                assert tagged == oracle_tag_el(sentence.tokens, sentence.sentence_id, index, model)
+                outputs.append((None if rows is None else rows.values.tobytes(), tagged))
+        return outputs
+
+    def test_two_indexes_in_one_process(self, fixture_index, fixture_documents, trained_model, gold_sentences):
+        indexes = (fixture_index, _other_leads_index(fixture_documents))
+        outputs = self._tag_alternately(indexes, trained_model, gold_sentences)
+        # The two indexes give different rows for the same mentions.
+        assert any(a[0] != b[0] for a, b in zip(outputs[::2], outputs[1::2]) if a[0] is not None)
+        assert all(0 < len(index.lead_memo) <= ensemble.LEAD_MEMO_SIZE for index in indexes)
+
+    def test_memo_of_one_document(self, fixture_index, fixture_documents, trained_model, gold_sentences, monkeypatch):
+        indexes = (fixture_index, _other_leads_index(fixture_documents))
+        want = self._tag_alternately(indexes, trained_model, gold_sentences)
+        fresh = (CorpusIndex.build(fixture_documents), _other_leads_index(fixture_documents))
+        monkeypatch.setattr(ensemble, "LEAD_MEMO_SIZE", 1)
+        assert self._tag_alternately(fresh, trained_model, gold_sentences) == want
+        assert [len(index.lead_memo) for index in fresh] == [1, 1]
+
+    def test_a_hit_reads_no_lead(self, fixture_documents, gold_sentences, monkeypatch):
+        index = CorpusIndex.build(fixture_documents)
+        sentence = _normalized(gold_sentences[0])
+        rows, _ = _sentence_rows(sentence, index, 2**10)
+        monkeypatch.setattr(CorpusIndex, "lead_tokens", lambda self, doc_id: pytest.fail("lead read"))
+        again, _ = _sentence_rows(sentence, index, 2**10)
+        assert again.values.tobytes() == rows.values.tobytes()
+
+
+class TestGateVeto:
+    """The batched path's gate: a sentence of two mentions where the binary
+    head vetoes one and types the other."""
+
+    def test_one_vetoed_one_typed(self, fixture_index, gold_sentences):
+        sentence = next(s for s in gold_sentences if s.sentence_id == "s25")
+        normalized = _normalized(sentence)
+        rows, oracle = _sentence_rows(normalized, fixture_index, 2**18)
+        (first, _), (second, _) = oracle
+        assert (first.start, first.end, second.start, second.end) == (1, 3, 5, 6)
+        own = [
+            np.setdiff1d(rows.indices[lo:hi], rows.indices[other_lo:other_hi])
+            for (lo, hi), (other_lo, other_hi) in (
+                ((rows.indptr[0], rows.indptr[1]), (rows.indptr[1], rows.indptr[2])),
+                ((rows.indptr[1], rows.indptr[2]), (rows.indptr[0], rows.indptr[1])),
+            )
+        ]
+        model = MentionClassifier.zeros(2**18)
+        model.W_bin[GATE_O, own[0][0]] = 50.0  # only the first row says "not an entity"
+        model.W_type[TYPE_INDEX[EntityType.CW], own[1][0]] = 50.0
+        p_bin, p_type = forward(model, rows)
+        assert np.argmax(p_bin, axis=1).tolist() == [GATE_O, 0]
+        assert predict(model, rows) == [None, EntityType.CW]
+        tagged = tag_el(sentence.tokens, sentence.sentence_id, fixture_index, model)
+        assert tagged.tags == ("O", "O", "O", "O", "O", "B-CW")
+        assert tagged == oracle_tag_el(sentence.tokens, sentence.sentence_id, fixture_index, model)

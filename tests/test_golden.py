@@ -22,10 +22,11 @@ format 2 (binary columns behind a JSON header); the format-1 bytes are
 still pinned as `FORMAT_1_INDEX`, through the format-1 writer kept as a
 test oracle, and a format-2 round trip must load what format 1 loads.
 
-On the same world, linking, featurizing and the window tagger's features
-are also compared with their oracles in `oracles.py` (the pool-first
-linker over ranked top-k lists, and the per-feature hashing loops),
-mention for mention and byte for byte.
+On the same world, linking, featurizing, a sentence's mention rows with
+their head probabilities, and the window tagger's features are also
+compared with their oracles in `oracles.py` (the pool-first linker over
+ranked top-k lists, the per-mention path, and the per-feature hashing
+loops), mention for mention and byte for byte.
 
 The gate path is not pinned: at 1000 articles the training sentences
 yield no non-entity candidates, and the binary head vetoes none of the
@@ -44,7 +45,10 @@ import pytest
 from oracles import (
     assert_v2_loads_as_v1,
     _tf_part,
+    dense_model,
     oracle_featurize,
+    oracle_forward,
+    oracle_mention_rows,
     oracle_field_index,
     oracle_link_sentence,
     oracle_window_features,
@@ -52,13 +56,22 @@ from oracles import (
     split_rows,
 )
 
-from linkrush.classifier import TrainingConfig, featurize, load_model, save_model, train
+from linkrush.classifier import (
+    MentionClassifier,
+    TrainingConfig,
+    featurize,
+    forward,
+    load_model,
+    save_model,
+    train,
+)
 from linkrush.corpus import ingest
 from linkrush.ensemble import (
     RouterConfig,
     build_training_examples,
     load_window_tagger,
     mention_candidates,
+    mention_features,
     save_window_tagger,
     tag_sentences,
     train_baseline,
@@ -136,6 +149,7 @@ def golden_run(tmp_path_factory):
         "documents": documents,
         "built": built,
         "loaded": index,
+        "model": model,
         "short_stream": read_conll(short_dir / "stream.conll"),
         "long_stream": read_conll(long_dir / "stream.conll"),
         "index": _sha256(index_path.read_bytes()),
@@ -214,6 +228,38 @@ def test_featurize_equals_per_feature_loop(golden_run):
             got, want = featurize(rep, dim), oracle_featurize(rep, dim)
             assert got.indices.tobytes() == want.indices.tobytes()
             assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_mention_rows_and_probabilities_equal_per_mention_oracle(golden_run):
+    """Every short-stream sentence's mention rows, built at once from the
+    loaded index, have the bytes of the per-mention oracle path (a
+    freshly tokenized lead, the per-token layout, the per-feature loop),
+    and one `forward` of them gives each row the probability bytes of the
+    dense one-row `oracle_forward`: the trained model at 2**18, a seeded
+    random one at 2**6."""
+    index = golden_run["loaded"]
+    rng = np.random.default_rng(26)
+    small = MentionClassifier.zeros(2**6)
+    for W in (small.W_bin, small.b_bin, small.W_type, small.b_type):
+        W[:] = rng.normal(0, 2.0, W.shape)
+    rows_seen = 0
+    for model in (golden_run["model"], small):
+        dense = dense_model(model)
+        for sentence in golden_run["short_stream"]:
+            normalized = [normalize_token(t) for t in sentence.tokens]
+            oracle = oracle_mention_rows(normalized, index, model.feature_dim)
+            if not oracle:
+                continue
+            rows = mention_features(normalized, [m for m, _ in oracle], index, 256, model.feature_dim)
+            p_bin, p_type = forward(model, rows)
+            for r, (got, (_, want)) in enumerate(zip(split_rows(rows), oracle, strict=True)):
+                assert got.indices.tobytes() == want.indices.tobytes()
+                assert got.values.tobytes() == want.values.tobytes()
+                want_bin, want_type = oracle_forward(dense, want)
+                assert p_bin[r].tobytes() == want_bin.tobytes()
+                assert p_type[r].tobytes() == want_type.tobytes()
+            rows_seen += len(rows)
+    assert rows_seen > 400
 
 
 def test_window_features_equal_per_position_loop(golden_run):

@@ -3,6 +3,7 @@ dict-of-postings scorer in `oracles`; index loading and validation."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 import zlib
@@ -35,6 +36,7 @@ from linkrush.index import (
     K1,
     CorpusIndex,
     FieldIndex,
+    Leads,
     build_field_index,
     build_index,
     field_tokens,
@@ -42,6 +44,7 @@ from linkrush.index import (
     save_corpus,
     top_k_members,
 )
+from linkrush import index as index_module
 from linkrush.storage import MAGIC_INDEX, dump_json, load_json, read_container, write_container
 
 
@@ -547,6 +550,41 @@ class TestLoadValidation:
         with pytest.raises(DataFormatError, match=f"lead {first} is not valid UTF-8"):
             self._load(tmp_path, header, arrays)
 
+    def _parts_with_leads(self, fixture_index, tmp_path, leads):
+        """A good file of the fixture index with its first leads replaced."""
+        leads = leads + [""] * (len(fixture_index.leads) - len(leads))
+        index = dataclasses.replace(fixture_index, leads=Leads.from_strings(leads))
+        return self._parts(index, tmp_path)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 2**20])
+    def test_multi_byte_leads_load_at_any_chunk_size(self, fixture_index, tmp_path, monkeypatch, chunk):
+        leads = ["é", "", "ab", "日本語", "x€y", "İstanbul"]
+        header, arrays = self._parts_with_leads(fixture_index, tmp_path, leads)
+        monkeypatch.setattr(index_module, "_LEAD_CHECK_CHUNK", chunk)
+        loaded = self._load(tmp_path, header, arrays)
+        assert list(loaded.leads)[: len(leads)] == leads
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 2**20])
+    def test_lead_offset_inside_a_character(self, fixture_index, tmp_path, monkeypatch, chunk):
+        """Lead 0's end moved into its two-byte character: the section is
+        still UTF-8 as a whole, but lead 0 ends and lead 1 starts inside
+        the character."""
+        header, arrays = self._parts_with_leads(fixture_index, tmp_path, ["é", "ab"])
+        arrays["lead_offsets"][1] = 1
+        monkeypatch.setattr(index_module, "_LEAD_CHECK_CHUNK", chunk)
+        with pytest.raises(DataFormatError, match="lead 0 is not valid UTF-8"):
+            self._load(tmp_path, header, arrays)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 2**20])
+    def test_last_lead_not_utf8(self, fixture_index, tmp_path, monkeypatch, chunk):
+        """Load checks every lead, though tagging reads only linked ones."""
+        header, arrays = self._parts(fixture_index, tmp_path)
+        last = int(np.flatnonzero(np.diff(arrays["lead_offsets"]))[-1])
+        arrays["leads"][-1] = 0xC3  # a lead byte with no continuation
+        monkeypatch.setattr(index_module, "_LEAD_CHECK_CHUNK", chunk)
+        with pytest.raises(DataFormatError, match=f"lead {last} is not valid UTF-8"):
+            self._load(tmp_path, header, arrays)
+
     def test_checksum_catches_a_changed_byte(self, fixture_index, tmp_path):
         path = tmp_path / "i.bin"
         fixture_index.save(path)
@@ -642,6 +680,47 @@ class TestLoadMemory:
                     column[0] = 0
                 buffers.add(id(column.base.obj))
         assert len(buffers) == 1
+
+
+    def test_leads_are_a_view_of_the_same_buffer(self, fixture_index, tmp_path):
+        path = tmp_path / "idx.bin"
+        fixture_index.save(path)
+        loaded = CorpusIndex.load(path)
+        section, offsets = loaded.leads.section, loaded.leads.offsets
+        assert not section.flags.writeable and not offsets.flags.writeable
+        assert section.base.obj is loaded.fields["title"].doc_ids.base.obj
+
+    def test_lead_check_decodes_in_chunks(self):
+        """Checking an 8 MB section never holds a string of all of it."""
+        leads = Leads.from_strings(["ab" * 50 + "é"] * 80_000)
+        assert len(leads.section) > 8_000_000
+        tracemalloc.start()
+        try:
+            Leads.from_section(leads.offsets, leads.section, len(leads), "x")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * index_module._LEAD_CHECK_CHUNK
+
+
+class TestLeads:
+    LEADS = ["", "stone mill", "é", "", "x€y"]
+
+    def test_reads_each_lead_back(self):
+        leads = Leads.from_strings(self.LEADS)
+        assert len(leads) == 5
+        assert list(leads) == self.LEADS
+        assert [leads[i] for i in range(-5, 5)] == self.LEADS * 2
+        for position in (5, -6):
+            with pytest.raises(IndexError):
+                leads[position]
+
+    def test_equal_when_every_lead_is(self):
+        leads = Leads.from_strings(self.LEADS)
+        assert leads == Leads.from_strings(list(self.LEADS))
+        assert leads != Leads.from_strings(self.LEADS[:-1] + ["x€z"])
+        assert leads != Leads.from_strings(["", "stone", " mill", "é", "", "x€y"])
+        assert leads != self.LEADS
 
 
 class TestFieldTokens:
