@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cache, partial
+from typing import Callable, Iterable
 
 from .errors import DataFormatError
 from .tokenizer import normalize_phrase
@@ -72,12 +73,14 @@ def extract_links(markup: str) -> list[tuple[str, str]]:
     return links
 
 
-def parse_corpus(source: Iterable[str], *, turkish: bool = False) -> list[Article]:
+def parse_corpus(
+    source: Iterable[str], *, normalize: Callable[[str], str] = normalize_phrase
+) -> list[Article]:
     """Parse a JSON-lines article stream into Articles, preserving order.
 
     Raises DataFormatError with the offending line number on malformed
     records, and one error naming every duplicated title (titles are
-    compared in normalized form).
+    compared in the form `normalize` gives).
     """
     articles: list[Article] = []
     seen: dict[str, int] = {}
@@ -90,7 +93,7 @@ def parse_corpus(source: Iterable[str], *, turkish: bool = False) -> list[Articl
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"line {lineno}: invalid JSON record: {exc}") from exc
         article = _record_to_article(record, lineno)
-        key = normalize_phrase(article.title, turkish=turkish)
+        key = normalize(article.title)
         if not key:
             raise DataFormatError(f"line {lineno}: article title has no tokens")
         if key in seen:
@@ -139,33 +142,33 @@ def _record_to_article(record: object, lineno: int) -> Article:
 
 
 def build_referred_by(
-    articles: list[Article], *, turkish: bool = False
+    articles: list[Article], *, normalize: Callable[[str], str] = normalize_phrase
 ) -> dict[str, list[str]]:
     """Collect, per article, every anchor other articles use to link to it.
 
-    The article's own title is always included. Anchors are normalized,
-    de-duplicated, and sorted longest token count first (lexicographic on
-    ties). Link targets that match no article produce no entry.
+    The article's own title is always included. Anchors are normalized
+    by `normalize`, de-duplicated, and sorted longest token count first
+    (lexicographic on ties). Link targets that match no article produce
+    no entry.
     """
     by_norm_title: dict[str, str] = {}
     for article in articles:
-        by_norm_title[normalize_phrase(article.title, turkish=turkish)] = article.title
+        by_norm_title[normalize(article.title)] = article.title
 
     anchors: dict[str, set[str]] = {article.title: set() for article in articles}
     for article in articles:
         for target, anchor in article.links:
-            target_key = normalize_phrase(target, turkish=turkish)
-            owner = by_norm_title.get(target_key)
+            owner = by_norm_title.get(normalize(target))
             if owner is None or owner == article.title:
                 continue
-            normalized = normalize_phrase(anchor, turkish=turkish)
+            normalized = normalize(anchor)
             if normalized:
                 anchors[owner].add(normalized)
 
     referred_by: dict[str, list[str]] = {}
     for article in articles:
         phrases = anchors[article.title]
-        phrases.add(normalize_phrase(article.title, turkish=turkish))
+        phrases.add(normalize(article.title))
         referred_by[article.title] = sorted(
             phrases, key=lambda p: (-len(p.split(" ")), p)
         )
@@ -210,9 +213,11 @@ def build_documents(
 
 
 def ingest(source: Iterable[str], *, turkish: bool = False) -> list[IndexedDocument]:
-    """Full ingestion pass: parse, collect anchors, derive documents."""
-    articles = parse_corpus(source, turkish=turkish)
-    referred_by = build_referred_by(articles, turkish=turkish)
+    """Full ingestion pass: parse, collect anchors, derive documents,
+    normalizing each distinct title, link target and anchor once."""
+    normalize = cache(partial(normalize_phrase, turkish=turkish))
+    articles = parse_corpus(source, normalize=normalize)
+    referred_by = build_referred_by(articles, normalize=normalize)
     return build_documents(articles, referred_by)
 
 

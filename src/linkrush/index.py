@@ -11,6 +11,11 @@ so a query is one weighted `np.bincount` over the rows of its terms
 (Anh & Moffat, "Pruned query evaluation using pre-computed impacts",
 2006).
 
+The build is one pass over the documents. Each distinct piece of text
+between whitespace is tokenized once, each token is held as its id in one
+vocabulary the four fields share, and a field's postings come from one
+`np.unique` over the keys row * N + doc_id, whose counts are the tfs.
+
 A search returns every document's score; nothing is ranked. Linking
 asks only whether a few documents are in a field's top-k (score
 descending, doc_id ascending on ties), and `top_k_members` answers that
@@ -48,10 +53,12 @@ document in the index's own bounded `lead_memo`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
-from collections import Counter, OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -218,75 +225,82 @@ def _int_column(values: Sequence[int], dtype: type) -> np.ndarray | None:
     return column.astype(dtype, copy=False)
 
 
-def build_field_index(field_name: str, token_docs: Sequence[Sequence[str]]) -> FieldIndex:
-    """Index pre-tokenized documents; doc_ids are the sequence positions.
+def build_field_index(
+    field_name: str, token_docs: Sequence[Sequence], terms: Sequence[str] | None = None
+) -> FieldIndex:
+    """Index tokenized documents; doc_ids are the sequence positions.
 
-    Terms get rows in sorted order, as a saved index holds them. Each
-    document's distinct terms are counted once under a row of first
-    appearance, one permutation moves the rows to sorted order, then one
-    stable sort by row groups the postings by term with doc_ids ascending.
+    Each document is its sequence of terms: strings, or, when the
+    vocabulary `terms` is given, ids into it. Terms get rows in sorted
+    order, as a saved index holds them. Each token becomes the key
+    row * N + doc_id (N documents), so one np.unique over the keys lists
+    the postings term-major with doc_ids ascending, and counts the tfs.
     """
     if not token_docs:
         raise ValueError("cannot build an index over zero documents")
-    term_rows: dict[str, int] = {}
-    rows: list[int] = []
-    tfs: list[int] = []
-    distinct: list[int] = []
-    for tokens in token_docs:
-        counts = Counter(tokens)
-        rows.extend([term_rows.setdefault(term, len(term_rows)) for term in counts])
-        tfs.extend(counts.values())
-        distinct.append(len(counts))
-    terms = sorted(term_rows)
-    sorted_rows = np.empty(len(terms), dtype=np.int64)
-    sorted_rows[[term_rows[term] for term in terms]] = np.arange(len(terms))
-    row_column = np.array(rows, dtype=np.int64)
-    # In place ("wrap" is unbuffered; every row is in range): a second
-    # postings-sized array left about 35 MB of heap unreturned after build.
-    np.take(sorted_rows, row_column, out=row_column, mode="wrap")
-    order = np.argsort(row_column, kind="stable")
-    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_column, minlength=len(terms)), out=offsets[1:])
-    doc_ids = np.repeat(np.arange(len(token_docs), dtype=np.int32), distinct)
-    return FieldIndex.from_columns(
-        field_name,
-        terms,
-        offsets,
-        doc_ids[order],
-        np.array(tfs, dtype=np.int32)[order],
-        np.array([len(tokens) for tokens in token_docs], dtype=np.int32),
-    )
+    if terms is None:
+        vocabulary: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+        token_docs = [tuple(map(vocabulary.__getitem__, tokens)) for tokens in token_docs]
+        terms = list(vocabulary)
+    doc_count = len(token_docs)
+    lengths = np.fromiter(map(len, token_docs), dtype=np.int64, count=doc_count)
+    tokens = itertools.chain.from_iterable(token_docs)
+    keys = np.fromiter(tokens, dtype=np.int64, count=int(lengths.sum()))
+    # The ids of the terms present, in sorted term order, give the rows.
+    present = np.flatnonzero(np.bincount(keys, minlength=len(terms)))
+    ids = sorted(present.tolist(), key=terms.__getitem__)
+    rows = np.zeros(len(terms), dtype=np.int64)
+    rows[ids] = np.arange(len(ids))
+    np.take(rows, keys, out=keys)
+    keys *= doc_count
+    keys += np.repeat(np.arange(doc_count), lengths)
+    keys, tfs = np.unique(keys, return_counts=True)
+    # Row r's postings are the keys from r * N on; a key mod N is its doc_id.
+    offsets = np.searchsorted(keys, np.arange(len(ids) + 1) * doc_count)
+    np.remainder(keys, doc_count, out=keys)
+    return FieldIndex.from_columns(field_name, [terms[i] for i in ids], offsets, keys, tfs, lengths)
 
 
 def field_tokens(doc: IndexedDocument, field_name: str, *, turkish: bool = False) -> list[str]:
-    """Token stream a document contributes to one field's index."""
-    if field_name == "title":
-        return tokenize(doc.title, turkish=turkish)
+    """Token stream a document contributes to one field's index: its
+    referred_by phrases split at spaces, or the tokens of its field text."""
     if field_name == "referred_by":
-        tokens: list[str] = []
-        for phrase in doc.referred_by:
-            tokens.extend(phrase.split(" "))
-        return tokens
+        return [token for phrase in doc.referred_by for token in phrase.split(" ")]
+    return tokenize(field_text(doc, field_name), turkish=turkish)
+
+
+def field_text(doc: IndexedDocument, field_name: str) -> str:
+    """The text a tokenized field reads: the interwikies joined by newlines."""
+    if field_name == "title":
+        return doc.title
     if field_name == "interwikies":
-        tokens = []
-        for target in doc.interwikies:
-            tokens.extend(tokenize(target, turkish=turkish))
-        return tokens
+        return "\n".join(doc.interwikies)
     if field_name == "all_text":
-        return tokenize(doc.all_text, turkish=turkish)
+        return doc.all_text
     raise ValueError(f"unknown field {field_name!r}")
 
 
 def build_index(
     docs: Sequence[IndexedDocument], *, turkish: bool = False
 ) -> dict[str, FieldIndex]:
-    """Build all four field indexes for a corpus."""
+    """Build all four field indexes in one pass. Tokens never cross
+    whitespace, so a text's token ids are those of its whitespace-separated
+    pieces, and each distinct piece is tokenized once."""
     if not docs:
         raise ValueError("cannot build an index over zero documents")
-    return {
-        name: build_field_index(name, [field_tokens(d, name, turkish=turkish) for d in docs])
-        for name in FIELD_NAMES
-    }
+    vocabulary: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    term_id = vocabulary.__getitem__
+    piece_ids = cache(lambda piece: tuple(map(term_id, tokenize(piece, turkish=turkish))))
+    streams: dict[str, list[tuple[int, ...]]] = {name: [] for name in FIELD_NAMES}
+    for doc in docs:
+        for name, stream in streams.items():
+            if name == "referred_by":
+                ids = map(term_id, field_tokens(doc, name))
+            else:
+                ids = itertools.chain.from_iterable(map(piece_ids, field_text(doc, name).split()))
+            stream.append(tuple(ids))
+    terms = list(vocabulary)
+    return {name: build_field_index(name, stream, terms) for name, stream in streams.items()}
 
 
 def field_scores(field_index: FieldIndex, query_terms: Sequence[str]) -> np.ndarray:

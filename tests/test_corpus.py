@@ -15,6 +15,7 @@ from linkrush.corpus import (
     lead_paragraphs,
     parse_corpus,
 )
+from linkrush import corpus as corpus_module
 from linkrush.errors import DataFormatError
 
 
@@ -199,3 +200,28 @@ def test_ingest_bundled_fixture(fixture_documents):
     # every document lists its own normalized title
     for doc in fixture_documents:
         assert doc.title in doc.referred_by
+
+
+def test_ingest_normalizes_each_distinct_string_once(monkeypatch):
+    # Titles, link targets and anchors repeat across a corpus; one ingest
+    # normalizes each distinct string once, through the module's
+    # normalize_phrase, and derives the documents that normalizing every
+    # occurrence gives.
+    lines = [
+        _record("Alpha Station", "x", [{"target": "Beta Yard", "anchor": "the yard"}]),
+        _record("Beta Yard", "y", [{"target": "Alpha Station"}, {"target": "beta yard"}]),
+        _record("Gamma", "z", [{"target": "Beta Yard", "anchor": "the yard"}]),
+    ]
+    unmemoized = build_documents(parse_corpus(lines), build_referred_by(parse_corpus(lines)))
+    calls = []
+    normalize_phrase = corpus_module.normalize_phrase
+
+    def counting(text, **kwargs):
+        calls.append(text)
+        return normalize_phrase(text, **kwargs)
+
+    monkeypatch.setattr(corpus_module, "normalize_phrase", counting)
+    assert ingest(lines) == unmemoized
+    assert sorted(calls) == sorted(
+        {"Alpha Station", "Beta Yard", "Gamma", "the yard", "beta yard"}
+    )

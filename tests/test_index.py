@@ -4,6 +4,7 @@ dict-of-postings scorer in `oracles`; index loading and validation."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import tracemalloc
 import zlib
@@ -28,7 +29,7 @@ from oracles import (
     write_index_raw,
 )
 
-from linkrush.corpus import IndexedDocument
+from linkrush.corpus import IndexedDocument, ingest
 from linkrush.errors import DataFormatError
 from linkrush.index import (
     B,
@@ -46,6 +47,7 @@ from linkrush.index import (
 )
 from linkrush import index as index_module
 from linkrush.storage import MAGIC_INDEX, dump_json, load_json, read_container, write_container
+from linkrush.tokenizer import tokenize
 
 
 def oracle_scores(token_docs, query_terms):
@@ -230,11 +232,19 @@ class TestColumnarMatchesOracle:
         )
 
     def test_build_columns_equal_oracle(self):
-        # The same seeded corpora as test_random_zipfian_corpora: rows in
-        # sorted term order, postings by doc_id, impacts bit-exact.
+        # The same seeded corpora as test_random_zipfian_corpora, then
+        # corpora at the edges: rows in sorted term order, postings by
+        # doc_id, impacts bit-exact.
         rng = np.random.default_rng(2006)
-        for _ in range(6):
-            _, _, docs = _zipf_corpus(rng, int(rng.integers(200, 400)))
+        corpora = [_zipf_corpus(rng, int(rng.integers(200, 400)))[2] for _ in range(6)]
+        corpora += [
+            [["a", "b"], [], ["b", "c", "b"], []],  # documents with an empty field
+            [["solo", "term", "solo"]],  # one document
+            [["every", "x"], ["y", "every"], ["every"], ["every", "every", "z"]],
+            # Non-ASCII terms first seen in another order than their sorted one.
+            [["ω", "é", "z"], ["ß", "a", "é"], ["İ", "ı", "ω", "ǆ"], ["z", "ß", "Ω"]],
+        ]
+        for docs in corpora:
             index, oracle = build_field_index("text", docs), oracle_field_index(docs)
             terms = sorted(oracle.postings)
             assert list(index.term_rows) == terms
@@ -251,6 +261,9 @@ class TestColumnarMatchesOracle:
                 for d, tf in oracle.postings[term]
             ]
             assert index.impacts.tobytes() == np.array(impacts).tobytes()
+        assert list(build_field_index("text", corpora[-1]).term_rows) != list(
+            dict.fromkeys(term for doc in corpora[-1] for term in doc)
+        )
 
     def test_all_empty_field(self):
         docs = [[], [], []]
@@ -748,6 +761,99 @@ class TestFieldTokens:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             field_tokens(self._doc(), "nope")
+
+
+class TestOneCallTokenization:
+    """Each field's stream, one tokenize call per text (the interwikies
+    joined), against the same text tokenized piece by piece: each run of
+    non-whitespace in the title, the interwiki targets and all_text, and
+    each referred_by phrase. Tokens never cross whitespace, so the two
+    agree; and the build, which tokenizes each distinct piece once into
+    one shared vocabulary, gives the columns of the build over the token
+    strings."""
+
+    RECORDS = [
+        # Greek final sigma at the end of a title, a target and a line.
+        {"title": "ΟΔΟΣ", "text": "Η ΟΔΟΣ\nΟΔΟΣ'", "categories": ["ΧΩΡΟΣ"],
+         "links": [{"target": "ΣΟΦΙΑ ΟΔΟΣ"}, {"target": "İSTANBUL"}]},
+        {"title": "ΣΟΦΙΑ ΟΔΟΣ", "text": "ΣΟΦΙΑ",
+         "links": [{"target": "ΟΔΟΣ", "anchor": "ΟΔΟΣ'"}, {"target": "Σ"}]},
+        # Turkish dotted and dotless I.
+        {"title": "İSTANBUL", "text": "IĞDIR ve İzmir",
+         "links": [{"target": "rock'"}, {"target": "'n roll"}]},
+        # Apostrophes at the edges of pieces.
+        {"title": "rock'", "text": "rock'n'roll '",
+         "links": [{"target": "'n roll", "anchor": "rock'n'roll"}, {"target": "rock'"}]},
+        {"title": "'n roll", "text": "'\n'", "links": [{"target": "rock'", "anchor": "'rock"}]},
+        # Combining marks, one starting a piece and one ending it.
+        {"title": "cafe\u0301", "text": "\u0301lead and cafe\u0301",
+         "links": [{"target": "e\u0301\u0301"}, {"target": "\u0301x"}]},
+        # Underscores, which are neither letters nor joined into words.
+        {"title": "snake_case", "text": "_ under_score _", "links": [{"target": "_"}]},
+        # No links: an empty interwikies list.
+        {"title": "no links", "text": "plain body"},
+        # A title of punctuation only.
+        {"title": "?!", "text": "...!?", "links": [{"target": "snake_case", "anchor": "?!"}]},
+        # Whitespace other than spaces and newlines, between and around pieces.
+        {"title": "tab\tand\u00a0nbsp", "text": "ΟΔΟΣ\u2003ΣΟΦΙΑ\x1cΑΣ\u3000x'\u2028'y\t",
+         "links": [{"target": "?!"}, {"target": "ΟΔΟΣ\u00a0x"}]},
+    ]
+
+    @staticmethod
+    def _piecewise(doc, name, turkish):
+        pieces = {
+            "title": doc.title.split(),
+            "referred_by": doc.referred_by,
+            "interwikies": [piece for target in doc.interwikies for piece in target.split()],
+            "all_text": doc.all_text.split(),
+        }[name]
+        return [token for piece in pieces for token in tokenize(piece, turkish=turkish)]
+
+    @pytest.fixture(params=[False, True], ids=["plain", "turkish"])
+    def turkish(self, request):
+        return request.param
+
+    @pytest.fixture
+    def documents(self, turkish):
+        return ingest([json.dumps(r, ensure_ascii=False) for r in self.RECORDS], turkish=turkish)
+
+    def test_streams_equal_piecewise_tokens(self, documents, turkish):
+        assert documents[7].interwikies == ()
+        for doc in documents:
+            for name in FIELD_NAMES:
+                assert field_tokens(doc, name, turkish=turkish) == self._piecewise(doc, name, turkish)
+
+    def test_no_whitespace_character_joins_or_changes_tokens(self, turkish):
+        # Lowercasing looks across case-ignorable characters for a final
+        # sigma, and apostrophes join words; no whitespace character takes
+        # part in either.
+        spaces = [c for c in map(chr, range(0x110000)) if c.isspace()]
+        assert len(spaces) > 20
+        for space in spaces:
+            text = f"AΣ{space}Σ'{space}'İ{space}rock'{space}n"
+            pieces = text.split()
+            assert len(pieces) == 5
+            assert tokenize(text, turkish=turkish) == [
+                token for piece in pieces for token in tokenize(piece, turkish=turkish)
+            ]
+
+    def test_final_sigma_and_turkish_i_survive_the_join(self, documents, turkish):
+        interwikies = field_tokens(documents[0], "interwikies", turkish=turkish)
+        assert interwikies[:2] == ["σοφια", "οδος"]
+        # Outside Turkish, İ lowers to i and a combining dot, its own token.
+        assert interwikies[2:] == (["istanbul"] if turkish else ["i", "\u0307", "stanbul"])
+
+    def test_build_columns_equal_string_build(self, documents, turkish):
+        for corpus in [documents, *([doc] for doc in documents)]:
+            built = CorpusIndex.build(corpus, turkish=turkish)
+            for name in FIELD_NAMES:
+                want = build_field_index(name, [field_tokens(d, name, turkish=turkish) for d in corpus])
+                got = built.fields[name]
+                assert list(got.term_rows.items()) == list(want.term_rows.items())
+                for column in ("offsets", "doc_ids", "tfs", "doc_lengths"):
+                    assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+                assert got.impacts.view("<u8").tolist() == want.impacts.view("<u8").tolist()
+                assert (got.avg_doc_length, got.doc_count) == (want.avg_doc_length, want.doc_count)
 
 
 class TestCorpusIndexBundle:
